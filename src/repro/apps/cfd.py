@@ -9,10 +9,11 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.apps.base import AnalyticsApp
+from repro.apps.base import AnalyticsApp, census_error
 from repro.apps.synthetic import cfd_pressure_field
 
 __all__ = ["PressureStats", "CFDPressureAnalysis"]
@@ -72,28 +73,21 @@ class CFDPressureAnalysis(AnalyticsApp):
 
     def __init__(self, *, threshold_frac: float = 0.6) -> None:
         self.threshold_frac = float(threshold_frac)
-        self._reference_threshold: float | None = None
 
     def generate(self, shape: tuple[int, int] = (256, 256), seed: int = 0) -> np.ndarray:
         return cfd_pressure_field(shape, seed)
 
-    def analyze(self, field: np.ndarray) -> dict[str, float]:
+    def analyze(self, field: np.ndarray, *, threshold: float | None = None) -> dict[str, float]:
         stats = pressure_analysis(
-            field,
-            threshold=self._reference_threshold,
-            threshold_frac=self.threshold_frac,
+            field, threshold=threshold, threshold_frac=self.threshold_frac
         )
         return stats.as_dict()
 
-    def outcome_error(self, reference: np.ndarray, approx: np.ndarray) -> float:
+    def reference_scorer(self, reference: np.ndarray) -> Callable[[np.ndarray], float]:
         """Relative error of area + force, with the threshold pinned to the
         reference field so both censuses use the same physical cut."""
         ref = np.asarray(reference, dtype=np.float64)
         ambient = float(np.median(ref))
-        self._reference_threshold = ambient + self.threshold_frac * (
-            float(ref.max()) - ambient
-        )
-        try:
-            return super().outcome_error(reference, approx)
-        finally:
-            self._reference_threshold = None
+        threshold = ambient + self.threshold_frac * (float(ref.max()) - ambient)
+        census = self.analyze(ref, threshold=threshold)
+        return lambda approx: census_error(census, self.analyze(approx, threshold=threshold))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.apps.base import AnalyticsApp
 from repro.apps.synthetic import xgc_dpot_field
@@ -53,6 +52,8 @@ def detect_blobs(
     as noise specks.  Diameters are equivalent-circle (2-D) or
     equivalent-sphere (3-D).
     """
+    from scipy import ndimage
+
     field = np.asarray(field, dtype=np.float64)
     if field.ndim not in (2, 3):
         raise ValueError(f"expected a 2-D or 3-D field, got shape {field.shape}")

@@ -14,12 +14,22 @@ writes to it, and the cached field array is marked read-only so any
 accidental in-place mutation (which would silently corrupt later cache
 hits) raises instead.  The cache is per-process: parallel sweep workers
 each warm their own.
+
+An entry is a :class:`LadderEntry`: besides the pair it scores analysis
+outcomes against the field.  An outcome error is a pure function of
+(field, ladder, rung, app analysis), so the entry keeps a
+``{(app analysis, rung): error}`` table and, per app analysis, the
+reference-side scorer (e.g. the reference's blob census, or the pinned
+CFD threshold and census).  Every policy and controller that shares a
+ladder then scores each rung once.  Both tables live and die with the
+entry: eviction and :func:`clear_cache` drop them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -27,14 +37,43 @@ from repro.apps.base import AnalyticsApp
 from repro.core.error_control import AccuracyLadder, ErrorMetric, build_ladder
 from repro.core.refactor import decompose, levels_for_decimation
 
-__all__ = ["ladder_for_app", "cache_info", "clear_cache"]
+__all__ = ["LadderEntry", "ladder_entry", "ladder_for_app", "cache_info", "clear_cache"]
 
-#: Bounded LRU: a 256x256 float64 field plus its ladder is ~1.5 MB, so
-#: the cache tops out around 50 MB even on ladder-heavy sweeps.
+#: Bounded LRU by count, not bytes: a 512x512 entry (field, ladder and
+#: its probe scratch) holds about 30 MB, so 32 such entries can reach
+#: about 1 GB.  256x256 entries are about a quarter of that.
 _MAX_ENTRIES = 32
 
+
+class LadderEntry:
+    """One memoized field + ladder, and the analysis outcomes scored on it.
+
+    Outcome errors are filled on first use and shared by every caller
+    holding the entry.  Two threads racing on one rung compute the same
+    value, so the tables need no lock.
+    """
+
+    __slots__ = ("field", "ladder", "_scorers", "_errors")
+
+    def __init__(self, field: np.ndarray, ladder: AccuracyLadder) -> None:
+        self.field = field
+        self.ladder = ladder
+        self._scorers: dict[tuple, Callable[[np.ndarray], float]] = {}
+        self._errors: dict[tuple, float] = {}
+
+    def outcome_error(self, app: AnalyticsApp, rung: int) -> float:
+        """``app.outcome_error(field, ladder.reconstruct(rung))``, scored once."""
+        key = (app.analysis_key(), rung)
+        err = self._errors.get(key)
+        if err is None:
+            approx = self.ladder.reconstruct(rung)
+            err = app.outcome_error(self.field, approx, scorers=self._scorers)
+            self._errors[key] = err
+        return err
+
+
 _lock = threading.Lock()
-_cache: OrderedDict[tuple, tuple[np.ndarray, AccuracyLadder]] = OrderedDict()
+_cache: OrderedDict[tuple, LadderEntry] = OrderedDict()
 _hits = 0
 _misses = 0
 
@@ -63,7 +102,7 @@ def _key(
     )
 
 
-def ladder_for_app(
+def ladder_entry(
     app: AnalyticsApp,
     *,
     grid_shape: tuple[int, int],
@@ -72,7 +111,7 @@ def ladder_for_app(
     error_bounds: tuple[float, ...],
     seed: int,
     method: str = "hybrid",
-) -> tuple[np.ndarray, AccuracyLadder]:
+) -> LadderEntry:
     """Generate the app's field, decompose it, and build its ladder — memoized.
 
     ``method`` selects the ladder search strategy (see
@@ -94,12 +133,19 @@ def ladder_for_app(
     levels = levels_for_decimation(data.shape, decimation_ratio)
     dec = decompose(data, levels)
     ladder = build_ladder(dec, list(error_bounds), metric, method=method, original=data)
+    entry = LadderEntry(data, ladder)
     with _lock:
-        _cache[key] = (data, ladder)
+        _cache[key] = entry
         _cache.move_to_end(key)
         while len(_cache) > _MAX_ENTRIES:
             _cache.popitem(last=False)
-    return data, ladder
+    return entry
+
+
+def ladder_for_app(app: AnalyticsApp, **key) -> tuple[np.ndarray, AccuracyLadder]:
+    """The ``(field, ladder)`` pair of :func:`ladder_entry` (same arguments)."""
+    entry = ladder_entry(app, **key)
+    return entry.field, entry.ladder
 
 
 def cache_info() -> dict[str, int]:

@@ -155,11 +155,17 @@ class ScenarioSession:
         """Memoized field + ladder for ``app`` (default: the config's).
 
         Returns ``(app, field, AccuracyLadder)``; the field/ladder pair
-        comes from :func:`repro.engine.memo.ladder_for_app`.
+        comes from :meth:`ladder_entry`.
         """
+        app_obj, entry = self.ladder_entry(app=app, seed=seed)
+        return app_obj, entry.field, entry.ladder
+
+    def ladder_entry(self, *, app: str | None = None, seed: int | None = None):
+        """``(app, memo.LadderEntry)`` for ``app`` (default: the config's):
+        the memoized field + ladder and the outcome errors scored on it."""
         cfg = self.config
         app_obj = APPS.create(cfg.app if app is None else app)
-        data, ladder = memo.ladder_for_app(
+        entry = memo.ladder_entry(
             app_obj,
             grid_shape=cfg.grid_shape,
             decimation_ratio=cfg.decimation_ratio,
@@ -167,7 +173,7 @@ class ScenarioSession:
             error_bounds=cfg.error_bounds,
             seed=cfg.seed if seed is None else seed,
         )
-        return app_obj, data, ladder
+        return app_obj, entry
 
     # -- workload composition --------------------------------------------
 

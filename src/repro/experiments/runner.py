@@ -8,14 +8,14 @@ a :class:`ScenarioResult` with everything the figures report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.apps.base import AnalyticsApp
 from repro.control import BaseController
 from repro.core.error_control import AccuracyLadder, ErrorMetric
-from repro.engine.memo import ladder_for_app
+from repro.engine.memo import LadderEntry, ladder_for_app
 from repro.engine.session import ScenarioSession
 from repro.experiments.config import ScenarioConfig
 from repro.obs import OBS
@@ -94,7 +94,9 @@ class ScenarioResult:
     original: np.ndarray
     weight_history: list[tuple[float, int]]
     final_time: float
-    _outcome_cache: dict[int, float] = field(default_factory=dict)
+    #: The memo entry of ``(original, ladder)``: outcome errors read
+    #: through its table, shared with every result built on the entry.
+    memo_entry: LadderEntry | None = None
     #: Capacity-tier device samples, recorded only when observability is
     #: enabled (``None`` otherwise — the disabled path schedules nothing).
     device_samples: list[DeviceSample] | None = None
@@ -148,10 +150,7 @@ class ScenarioResult:
 
     def outcome_error_at_rung(self, rung: int) -> float:
         """Relative error of the analysis outcome at a ladder rung."""
-        if rung not in self._outcome_cache:
-            approx = self.ladder.reconstruct(rung)
-            self._outcome_cache[rung] = self.app.outcome_error(self.original, approx)
-        return self._outcome_cache[rung]
+        return self.memo_entry.outcome_error(self.app, rung)
 
     @property
     def mean_outcome_error(self) -> float:
@@ -217,7 +216,8 @@ def run_scenario(
     session = ScenarioSession(
         config, storage_factory=storage_factory, placement=placement
     )
-    app, original, ladder = session.build_ladder()
+    app, entry = session.ladder_entry()
+    original, ladder = entry.field, entry.ladder
     dataset = session.stage(f"{config.app}-data", ladder)
     session.launch_noise()
     # Fault campaign, if the config names one.  Scheduled after the noise
@@ -277,6 +277,7 @@ def run_scenario(
         original=original,
         weight_history=list(session.containers["analytics"].cgroup.weight_history),
         final_time=final_time,
+        memo_entry=entry,
         device_samples=list(sampler.samples) if sampler is not None else None,
         controller=controller,
     )

@@ -670,11 +670,12 @@ class Simulation:
         self._compactions += 1
         cal = self._cal
         if cal is None:
+            # In place: the run loops drain a local alias of this list.
             heap = self._heap
             live = [e for e in heap if not e.cancelled]
             self._discards += len(heap) - len(live)
-            heapq.heapify(live)
-            self._heap = live
+            heap[:] = live
+            heapq.heapify(heap)
         else:
             # The in-flight epoch batch is left alone (bounded by one
             # epoch's size; its cancelled entries fall out on dispatch).

@@ -174,10 +174,13 @@ class TestCFD:
         assert app.outcome_error(f, f * 0.9) > 0.0
 
     def test_reference_threshold_cleared_after(self):
+        """Scoring pins the reference's cut only inside the scorer: a
+        later analyze() derives its own threshold again."""
         app = CFDPressureAnalysis()
         f = app.generate((64, 64), seed=0)
         app.outcome_error(f, f)
-        assert app._reference_threshold is None
+        g = app.generate((64, 64), seed=1)
+        assert app.analyze(g) == CFDPressureAnalysis().analyze(g)
 
 
 class TestOutcomeError:

@@ -2,7 +2,10 @@
 ``__all__`` promises — guards the corners no other test touches."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +42,17 @@ def test_every_public_module_has_docstring():
         if name.endswith("__main__"):
             continue
         assert module.__doc__, f"{name} lacks a module docstring"
+
+
+def test_api_import_defers_scipy():
+    """scipy loads on first analysis use, not on ``import repro.api``."""
+    code = (
+        "import sys, repro.api; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"

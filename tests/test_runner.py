@@ -94,7 +94,7 @@ class TestRunScenario:
         e1 = cross_result.outcome_error_at_rung(1)
         e2 = cross_result.outcome_error_at_rung(1)
         assert e1 == e2
-        assert 1 in cross_result._outcome_cache
+        assert (cross_result.app.analysis_key(), 1) in cross_result.memo_entry._errors
 
     def test_outcome_error_decreases_with_rung(self, cross_result):
         errs = [

@@ -235,3 +235,36 @@ class TestCalendarQueueRegimes:
         assert q.nbuckets > q.MIN_BUCKETS
         assert q.resizes >= 1
         assert len(_drain(q)) == 600
+
+
+# -- lazy-cancel compaction at scale -------------------------------------
+
+
+def test_heap_kernel_keeps_events_through_compaction(monkeypatch):
+    """64 churned streams cross the 64-cancel compaction threshold.
+
+    Compaction must rebuild the heap in place: the run loops drain a
+    local alias of it, so rebinding the attribute silently dropped every
+    event scheduled afterwards.
+    """
+    import repro.simkernel
+    from repro.experiments.bench import _run_stress_blkio
+
+    sims = []
+
+    class Recording(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(repro.simkernel, "Simulation", Recording)
+    events = {}
+    for kernel in ("calendar", "heap"):
+        for dispatch in ("batched", "scalar"):
+            _, executed, _ = _run_stress_blkio(
+                True, kernel=kernel, dispatch=dispatch, n_streams=64
+            )
+            events[kernel, dispatch] = executed
+            if kernel == "heap":
+                assert sims[-1].kernel_stats()["compactions"] >= 1
+    assert len(set(events.values())) == 1, events
