@@ -21,6 +21,11 @@ Two gates run over every benchmark present in both reports:
   ``derived.cluster_scaling_8x`` is recorded but not gated: the
   8-shard/1-shard ratio tracks the runner's core count, not the code.
 
+Both gates see only rows the two reports share, so a baseline row the
+fresh run no longer produces would lose its gates silently.  Each such
+row is named on a ``::notice`` line instead (notices never fail the job:
+retiring a row is a legitimate change, it just has to be visible).
+
 The script also renders an events/sec **trend table** (scenario rows,
 baseline vs fresh, signed delta) — appended to ``$GITHUB_STEP_SUMMARY``
 when set so the bench artifact carries the trend line, plain stdout
@@ -83,6 +88,16 @@ def compare_events(baseline: dict, fresh: dict, *, threshold: float) -> list[str
     return errors
 
 
+def missing_rows(baseline: dict, fresh: dict) -> list[str]:
+    """Notice lines naming every baseline row absent from the fresh run."""
+    fresh_rows = fresh.get("benchmarks", {})
+    return [
+        f"::notice title=bench row dropped::{name} is in the baseline but not "
+        f"in the fresh run; its gates no longer apply"
+        for name in sorted(baseline.get("benchmarks", {}).keys() - fresh_rows.keys())
+    ]
+
+
 def trend_table(baseline: dict, fresh: dict) -> str:
     """Markdown events/sec trend table over the scenario rows.
 
@@ -143,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
         # Missing/unreadable reports are not a reason to fail the job.
         print(f"compare_bench: skipping comparison ({exc})", file=sys.stderr)
         return 0
+
+    for line in missing_rows(baseline, fresh):
+        print(line)
 
     warnings = compare(baseline, fresh, threshold=args.threshold)
     for line in warnings:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.simkernel import DISPATCH_MODES
 from repro.util.units import MiB, mb_per_s
 
 __all__ = ["ClusterConfig"]
@@ -70,7 +71,6 @@ class ClusterConfig:
     #: Utilisation below which a borrower starts returning tokens.
     return_watermark: float = 0.5
     # -- substrate passthrough -------------------------------------------
-    kernel: str = "calendar"
     dispatch: str = "batched"
     #: Worker processes for the shard pool: ``None``/1 → serial (every
     #: shard in-process), ``"auto"`` → CPUs; always capped by
@@ -163,11 +163,9 @@ class ClusterConfig:
             raise ValueError(
                 f"return_watermark must be in [0, 1], got {self.return_watermark}"
             )
-        if self.kernel not in ("calendar", "heap"):
-            raise ValueError(f"kernel must be 'calendar' or 'heap', got {self.kernel!r}")
-        if self.dispatch not in ("batched", "scalar"):
+        if self.dispatch not in DISPATCH_MODES:
             raise ValueError(
-                f"dispatch must be 'batched' or 'scalar', got {self.dispatch!r}"
+                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
             )
         # Validated lazily against the registry so plugged-in policies
         # (registered before the config is built) are accepted.

@@ -17,6 +17,13 @@ paper's per-node isolation), so runs share no state and determinism is
 free: the same config and seed produce the same summary wherever they
 execute.
 
+Metrics survive the process boundary: while observability is enabled in
+the caller, each job runs with collection on in its worker, against a
+cleared registry whose copy travels back with the result and is folded
+into the caller's registry in job order (:meth:`Registry.merge`: counters sum,
+gauges last-write, histograms bucket-wise) — so ``--metrics-out`` sees
+the same instruments at any worker count.
+
 The pool is **warm**: the first parallel ``map`` spawns it and later
 calls reuse it, so a loop of maps (the cluster round loop, a figure
 running several grids back to back) pays worker startup once.  Use the
@@ -30,6 +37,8 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
+
+from repro.obs import OBS, Registry
 
 __all__ = [
     "ScenarioSummary",
@@ -130,6 +139,24 @@ def _run_scenario_job(job) -> ScenarioSummary:
     return summarize_result(result, outcome_error=outcome_error)
 
 
+def _run_collecting_metrics(call):
+    """Worker entry point under observability: ``(result, registry)``.
+
+    The job records into the worker's registry, emptied just before it
+    starts, and returns a copy of it.  The pool runs a whole chunk of jobs
+    before it pickles any result, and the next job's reset clears the
+    live registry in place, so returning ``OBS.registry`` itself would
+    hand back the chunk's last job once per job.
+    """
+    fn, job = call
+    OBS.reset()
+    OBS.enable()
+    try:
+        return fn(job), Registry().merge(OBS.registry)
+    finally:
+        OBS.disable()
+
+
 class SweepExecutor:
     """Order-preserving map over sweep jobs, optionally in a process pool.
 
@@ -196,7 +223,15 @@ class SweepExecutor:
             return [fn(job) for job in jobs]
         procs = min(self.workers, len(jobs))
         chunksize = self.chunksize or max(1, len(jobs) // (procs * 2))
-        return self._ensure_pool().map(fn, jobs, chunksize=chunksize)
+        pool = self._ensure_pool()
+        if not OBS.enabled:
+            return pool.map(fn, jobs, chunksize=chunksize)
+        pairs = pool.map(
+            _run_collecting_metrics, [(fn, job) for job in jobs], chunksize=chunksize
+        )
+        for _, registry in pairs:
+            OBS.registry.merge(registry)
+        return [result for result, _ in pairs]
 
     def run_scenarios(
         self,

@@ -36,16 +36,10 @@ itself rather than the ladder math:
   ``derived.blkio_stress16_speedup_fast_vs_reference`` is the wall-clock
   ratio over the identical simulated horizon and is expected to stay ≥ 2.
 
-Schema 3 records the event-kernel comparison: the fig07 and stress16
-scenarios run once per kernel (``scenario_fig07_contention`` /
-``blkio_stress16_fast`` on the default calendar kernel, ``*_heap``
-variants on the binary-heap parity oracle) and every scenario row
-carries ``events_per_sec``.  ``derived.event_kernel_ratio_*`` is
-calendar events/sec over heap events/sec — both kernels execute the
-identical event sequence, so the ratio is pure kernel overhead.  The
-regression gate lives in ``benchmarks/compare_bench.py``: any scenario
-row whose events/sec drops more than 20 % against the committed
-baseline fails CI.
+Every scenario row carries ``events_per_sec``.  The regression gate
+lives in ``benchmarks/compare_bench.py``: any scenario row whose
+events/sec drops more than 20 % against the committed baseline fails
+CI.
 
 Schema 4 scales the device axis to where the vectorised epoch path
 (persistent SoA stream arrays + batched dispatch, architecture §1.2)
@@ -87,6 +81,11 @@ events/sec (joining the generic hard gate) plus the suite's
 control-quality scores — ``settling_time_s`` and ``overshoot`` of the
 prediction trace — recorded for the review trend, not gated: they are
 deterministic per seed and only move when someone retunes a controller.
+
+Schema 7 retires the event-kernel comparison of schema 3 along with the
+second kernel: the ``scenario_fig07_contention_heap`` and
+``blkio_stress16_fast_heap`` rows and ``derived.event_kernel_ratio_*``
+are gone, because the simulator now has a single event loop.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ from typing import Callable
 __all__ = ["BENCH_FILENAME", "SCHEMA_VERSION", "run_microbench", "write_report", "repo_root"]
 
 BENCH_FILENAME = "BENCH_micro.json"
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Median speedup of the default ladder method over the pre-fastladder
 #: cost model that the perf work is pinned to (see module docstring).
@@ -167,7 +166,6 @@ def _clear_scratch(dec) -> None:
 def _run_stress_blkio(
     fast_path: bool,
     *,
-    kernel: str = "calendar",
     dispatch: str = "batched",
     n_streams: int = 16,
     horizon: float = 120.0,
@@ -188,7 +186,7 @@ def _run_stress_blkio(
     from repro.storage.device import DEVICE_PRESETS, BlockDevice
     from repro.util.units import MiB
 
-    sim = Simulation(kernel=kernel, dispatch=dispatch)
+    sim = Simulation(dispatch=dispatch)
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     groups = CgroupController()
     cgroups = [
@@ -305,7 +303,7 @@ def _run_cluster_soak(shards: int, repeats: int) -> list[tuple[float, int, float
         pool.close()
 
 
-def _run_scenario_contention(kernel: str = "calendar") -> tuple[float, int, float]:
+def _run_scenario_contention() -> tuple[float, int, float]:
     """One fig07-style contention run; returns (wall_s, events, sim_time).
 
     Table IV noise against a non-adaptive analytics tenant on the shared
@@ -316,7 +314,7 @@ def _run_scenario_contention(kernel: str = "calendar") -> tuple[float, int, floa
     from repro.engine.session import ScenarioSession
     from repro.experiments.config import ScenarioConfig
 
-    config = ScenarioConfig(policy="no-adaptivity", max_steps=12, seed=0, kernel=kernel)
+    config = ScenarioConfig(policy="no-adaptivity", max_steps=12, seed=0)
     session = ScenarioSession(config)
     _, _, ladder = session.build_ladder()
     dataset = session.stage(f"{config.app}-data", ladder)
@@ -443,9 +441,7 @@ def run_microbench(
     # deterministic per runner, so the last repeat's figures stand for all.
     scenario_specs: list[tuple[str, Callable[[], tuple[float, int, float]]]] = [
         ("scenario_fig07_contention", _run_scenario_contention),
-        ("scenario_fig07_contention_heap", lambda: _run_scenario_contention("heap")),
         ("blkio_stress16_fast", lambda: _run_stress_blkio(True)),
-        ("blkio_stress16_fast_heap", lambda: _run_stress_blkio(True, kernel="heap")),
         ("blkio_stress16_scalar", lambda: _run_stress_blkio(True, dispatch="scalar")),
         ("blkio_stress16_reference", lambda: _run_stress_blkio(False)),
         ("blkio_stress64", lambda: _run_stress_blkio(True, n_streams=64, horizon=40.0)),
@@ -542,15 +538,6 @@ def run_microbench(
             stress_fast > 0 and stress_ref / stress_fast >= BLKIO_SPEEDUP_TARGET
         ),
     }
-    # Event-kernel comparison (schema 3): calendar vs heap events/sec on
-    # the identical event sequence — the ratio is pure kernel overhead.
-    for key, cal_name, heap_name in (
-        ("event_kernel_ratio_fig07", "scenario_fig07_contention", "scenario_fig07_contention_heap"),
-        ("event_kernel_ratio_stress16", "blkio_stress16_fast", "blkio_stress16_fast_heap"),
-    ):
-        cal_eps = results[cal_name]["events_per_sec"]
-        heap_eps = results[heap_name]["events_per_sec"]
-        derived[key] = cal_eps / heap_eps if cal_eps and heap_eps else None
     # Dispatch-axis comparison (schema 4): batched vs scalar wall time on
     # the identical trace.  Near 1.0 at 16 streams (event-loop floor);
     # the stress64/soak256 rows carry the scaling story via events/sec.

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 
 from repro.core.error_control import ErrorMetric
 from repro.faults.retry import RetryPolicy
+from repro.simkernel import DISPATCH_MODES
 from repro.util.units import mb_per_s
 from repro.util.validation import rename_deprecated, warn_deprecated
 from repro.workloads.noise import TABLE_IV_NOISE, NoiseSpec
@@ -113,10 +114,6 @@ class ScenarioConfig:
     #: dict) so configs stay hashable and sweepable, e.g.
     #: ``(("mpc_horizon", 8),)``.
     controller_params: tuple = ()
-    #: Event-queue kernel: "calendar" (epoch-batched calendar queue, the
-    #: default) or "heap" (the binary-heap parity oracle).  Both execute
-    #: events in identical order, so results are kernel-independent.
-    kernel: str = "calendar"
     #: Ready-entry dispatch: "batched" (the default — consecutive entries
     #: bound to the same batchable handler on the same receiver collapse
     #: into one group call per epoch) or "scalar" (one Python callback
@@ -163,13 +160,9 @@ class ScenarioConfig:
                 f"unknown storage preset {self.tiers!r}; "
                 f"expected one of {STORAGE_PRESETS.names()}"
             )
-        if self.kernel not in ("calendar", "heap"):
+        if self.dispatch not in DISPATCH_MODES:
             raise ValueError(
-                f"kernel must be 'calendar' or 'heap', got {self.kernel!r}"
-            )
-        if self.dispatch not in ("batched", "scalar"):
-            raise ValueError(
-                f"dispatch must be 'batched' or 'scalar', got {self.dispatch!r}"
+                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}"
             )
         if self.weight_cardinality not in ("bucket", "total"):
             raise ValueError(

@@ -2,14 +2,14 @@
 
 Provides the event loop, one-shot events, timeouts, and generator-based
 processes that the storage/container/workload substrates are built on.
-Two interchangeable event-queue kernels (epoch-batched calendar queue,
-binary-heap parity oracle) execute callbacks in identical ``(time, seq)``
-order — cancellable scheduled callbacks, deterministic FIFO tie-breaking
-at equal timestamps — so every experiment is bit-reproducible for a
-given seed regardless of kernel.
+One epoch-batched loop over a binary heap executes callbacks in exact
+``(time, seq)`` order — cancellable scheduled callbacks, deterministic
+FIFO tie-breaking at equal timestamps — so every experiment is
+bit-reproducible for a given seed, under either dispatch mode.
 """
 
 from repro.simkernel.sim import (
+    DISPATCH_MODES,
     SimError,
     Simulation,
     UnhandledFailureError,
@@ -25,6 +25,7 @@ from repro.simkernel.events import (
 from repro.simkernel.process import Process, Timeout, Interrupt
 
 __all__ = [
+    "DISPATCH_MODES",
     "Simulation",
     "SimError",
     "UnhandledFailureError",

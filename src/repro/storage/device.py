@@ -41,7 +41,7 @@ execution" in ``docs/architecture.md``):
   submissions append k rows and trigger **one** solve, not k.  All of
   this is float-op-for-float-op identical to the scalar per-stream path
   — the recorded stress fingerprints in ``tests/test_dataplane_guard.py``
-  hold across dispatch modes, kernels, and the optional numba kernels
+  hold across dispatch modes and the optional numba kernels
   (:mod:`repro.storage.jitkernels`).
 
 ``fast_path=False`` restores the pre-optimisation cost model (immediate

@@ -5,7 +5,7 @@ bound to the same batchable handler on the same receiver and hands the
 group to the registered batch form (``batch_dispatch``) in one call;
 ``dispatch="scalar"`` runs one Python callback per entry.  The contract
 is *observational identity*: same traces, same clocks, same event
-counts, same observability values — under both event kernels.  These
+counts, same observability values.  These
 tests drive that contract with seeded randomized workloads, plus pinned
 unit tests for the grouped-start path, the aggregated per-epoch obs
 accounting, and the ``peek()`` scan cache.
@@ -23,7 +23,6 @@ from repro.util.units import MiB
 
 
 def _run_workload(
-    kernel,
     dispatch,
     *,
     seed=0,
@@ -41,7 +40,7 @@ def _run_workload(
     sizes = [rng.randrange(1, 9) * MiB for _ in range(n_streams)]
     dirs = [rng.choice(["read", "write"]) for _ in range(n_streams)]
     weights = [rng.randrange(1, 10) * 100 for _ in range(n_streams)]
-    sim = Simulation(kernel=kernel, dispatch=dispatch)
+    sim = Simulation(dispatch=dispatch)
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     groups = CgroupController()
     cgroups = [groups.create(f"w{i}", weight=weights[i]) for i in range(n_streams)]
@@ -69,19 +68,16 @@ def _run_workload(
 class TestDispatchParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_traces_identical_across_modes(self, seed):
-        """Every (kernel x dispatch) combination replays the exact same
-        history: completion trace, event count, clock, byte counters."""
-        ref = _run_workload("calendar", "scalar", seed=seed)
-        for kernel in ("calendar", "heap"):
-            for dispatch in ("batched", "scalar"):
-                assert _run_workload(kernel, dispatch, seed=seed) == ref
+        """Both dispatch modes replay the exact same history: completion
+        trace, event count, clock, byte counters."""
+        assert _run_workload("batched", seed=seed) == _run_workload("scalar", seed=seed)
 
     def test_reference_device_path_parity(self):
         """Batched dispatch is also identical on the pre-optimisation
         device path (fast_path=False): grouping is a kernel property,
         not a fast-path one."""
-        assert _run_workload("calendar", "batched", fast_path=False) == _run_workload(
-            "calendar", "scalar", fast_path=False
+        assert _run_workload("batched", fast_path=False) == _run_workload(
+            "scalar", fast_path=False
         )
 
 
@@ -188,7 +184,7 @@ class TestPeekScanCache:
         ``_ready[_ready_idx:]`` from scratch on every call).  Scan counts
         are pinned exactly: the first peek pays K dead + 1 live, each
         later peek hits the cached offset in a single scan."""
-        sim = Simulation(kernel="calendar", dispatch="scalar")
+        sim = Simulation(dispatch="scalar")
         K = 50
         handles = []
 

@@ -107,9 +107,9 @@ class TestConfig:
             dict(lend_floor=1.0),
             dict(return_watermark=2.0),
             dict(borrow_neighbors=0),
-            dict(kernel="btree"),
             dict(dispatch="vectorized"),
             dict(arbitration="anarchy"),
+            dict(hot_demand=0.0),
         ],
     )
     def test_validation_rejects(self, bad):

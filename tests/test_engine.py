@@ -298,57 +298,12 @@ class TestBehaviourFingerprints:
             == "f859e89e25e6a9772b6d64dd5c41cbaceecb53590b646ef469dd779436c174d5"
         )
 
-    # -- kernel parity: the heap oracle must hit the SAME recorded hashes --
-    #
-    # The hashes above were recorded under the binary-heap loop; the
-    # calendar kernel (now the default, exercised by the tests above)
-    # and the explicit heap kernel must both reproduce them, proving the
-    # epoch-batched rework is execution-order identical.
-
-    def test_run_scenario_heap_kernel_matches(self):
-        res = run_scenario(ScenarioConfig(max_steps=6, seed=3, kernel="heap"))
-        assert (
-            _fingerprint(res.records, [res.final_time, res.weight_history])
-            == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
-        )
-
-    def test_run_scenario_three_tier_heap_kernel_matches(self):
-        res = run_scenario(
-            ScenarioConfig(
-                max_steps=5,
-                seed=1,
-                policy="storage-only",
-                tiers="three-tier",
-                estimator="mean",
-                kernel="heap",
-            )
-        )
-        assert (
-            _fingerprint(res.records, [res.final_time])
-            == "d333e2fabe613fd0be3ab5eb75f2b7802a81847d98c94f1e201a513582760593"
-        )
-
-    def test_run_multi_scenario_heap_kernel_matches(self):
-        mres = run_multi_scenario(
-            [
-                TenantSpec("hi", priority=10.0, seed=0),
-                TenantSpec("lo", priority=1.0, seed=1),
-            ],
-            ScenarioConfig(max_steps=4, seed=5, kernel="heap"),
-        )
-        assert (
-            _fingerprint(
-                mres["hi"].records + mres["lo"].records, [mres.final_time]
-            )
-            == "1a54d4b48e4f444756a021047ced6da8c6f1618d79920e3f899f324a628fe620"
-        )
-
     # -- dispatch parity: the scalar oracle must hit the SAME hashes --
     #
     # The defaults above run under dispatch="batched" (epoch-grouped
     # handler calls); dispatch="scalar" replays one Python callback per
     # entry.  Identical hashes prove grouped dispatch is execution-order
-    # and bit identical, on both kernels.
+    # and bit identical.
 
     def test_run_scenario_scalar_dispatch_matches(self):
         res = run_scenario(ScenarioConfig(max_steps=6, seed=3, dispatch="scalar"))
@@ -357,13 +312,35 @@ class TestBehaviourFingerprints:
             == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
         )
 
-    def test_run_scenario_heap_scalar_dispatch_matches(self):
+    def test_run_scenario_three_tier_scalar_dispatch_matches(self):
         res = run_scenario(
-            ScenarioConfig(max_steps=6, seed=3, kernel="heap", dispatch="scalar")
+            ScenarioConfig(
+                max_steps=5,
+                seed=1,
+                policy="storage-only",
+                tiers="three-tier",
+                estimator="mean",
+                dispatch="scalar",
+            )
         )
         assert (
-            _fingerprint(res.records, [res.final_time, res.weight_history])
-            == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
+            _fingerprint(res.records, [res.final_time])
+            == "d333e2fabe613fd0be3ab5eb75f2b7802a81847d98c94f1e201a513582760593"
+        )
+
+    def test_run_multi_scenario_scalar_dispatch_matches(self):
+        mres = run_multi_scenario(
+            [
+                TenantSpec("hi", priority=10.0, seed=0),
+                TenantSpec("lo", priority=1.0, seed=1),
+            ],
+            ScenarioConfig(max_steps=4, seed=5, dispatch="scalar"),
+        )
+        assert (
+            _fingerprint(
+                mres["hi"].records + mres["lo"].records, [mres.final_time]
+            )
+            == "1a54d4b48e4f444756a021047ced6da8c6f1618d79920e3f899f324a628fe620"
         )
 
 
@@ -471,6 +448,33 @@ class TestSweepExecutorWarmPool:
             ex.close()  # idempotent
             ex.map(_square, range(4))
             assert ex.pool_creations == 2
+
+
+class TestSweepExecutorMetrics:
+    def test_chunked_parallel_counters_match_serial(self):
+        # chunksize=3 puts several jobs through one worker call before any
+        # result is pickled; each job's counters must still arrive once.
+        from repro.obs import OBS
+
+        configs = [ScenarioConfig(max_steps=2, seed=s) for s in range(6)]
+        snaps = []
+        try:
+            for ex in (SweepExecutor(workers=1), SweepExecutor(workers=2, chunksize=3)):
+                OBS.reset()
+                OBS.enable()
+                with ex:
+                    ex.run_scenarios(configs)
+                OBS.disable()
+                snaps.append(OBS.registry.snapshot())
+        finally:
+            OBS.disable()
+            OBS.reset()
+        serial, parallel = snaps
+        assert serial and sorted(parallel) == sorted(serial)
+        counters = [name for name, m in serial.items() if m["kind"] == "counter"]
+        assert "controller.decisions" in counters
+        for name in counters:
+            assert parallel[name]["series"] == serial[name]["series"], name
 
 
 class TestWorkersEnvOverride:

@@ -1,9 +1,4 @@
-"""Tests for repro.simkernel — the discrete-event engine.
-
-The module-local ``sim`` fixture overrides conftest's so every test in
-this file runs against both kernels: the epoch-batched calendar queue
-(the default) and the binary-heap parity oracle.
-"""
+"""Tests for repro.simkernel — the discrete-event engine."""
 
 import warnings
 
@@ -20,11 +15,6 @@ from repro.simkernel import (
     UnhandledFailureWarning,
     tick_time,
 )
-
-
-@pytest.fixture(params=["calendar", "heap"])
-def sim(request) -> Simulation:
-    return Simulation(kernel=request.param)
 
 
 class TestScheduling:
@@ -333,10 +323,8 @@ class TestLazyCancelCompaction:
         for _ in range(5000):
             sim.schedule(500.0, lambda: None).cancel()
         assert sim.pending_count == 5
-        # Whether dropped by explicit compaction (heap kernel) or by the
-        # calendar's migrate/resize filtering, the physical queue must
-        # stay bounded by the compaction trigger, far below the 5000
-        # cancels issued.
+        # Compaction keeps the physical queue bounded by its trigger,
+        # far below the 5000 cancels issued.
         assert sim._queue_len() <= 200
 
     def test_counters_survive_compaction(self, sim):
@@ -394,17 +382,15 @@ class TestUnhandledFailures:
         with pytest.warns(UnhandledFailureWarning, match="never retrieved"):
             sim.run()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
-    def test_raise_mode(self, kernel):
-        s = Simulation(kernel=kernel, on_unhandled_failure="raise")
+    def test_raise_mode(self):
+        s = Simulation(on_unhandled_failure="raise")
         ev = s.event()
         s.schedule(1.0, ev.fail, RuntimeError("boom"))
         with pytest.raises(UnhandledFailureError):
             s.run()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
-    def test_ignore_mode(self, kernel):
-        s = Simulation(kernel=kernel, on_unhandled_failure="ignore")
+    def test_ignore_mode(self):
+        s = Simulation(on_unhandled_failure="ignore")
         ev = s.event()
         s.schedule(1.0, ev.fail, RuntimeError("boom"))
         with warnings.catch_warnings():
@@ -453,11 +439,6 @@ class TestUnhandledFailures:
     def test_invalid_failure_mode_rejected(self):
         with pytest.raises(SimError):
             Simulation(on_unhandled_failure="explode")
-
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(SimError):
-            Simulation(kernel="wheel")
-
 
 class TestTimeoutCancel:
     """Simulation.timeout returns a cancellable event."""

@@ -1,251 +1,164 @@
-"""Cross-kernel property tests: calendar and heap must be bit-identical.
+"""Ordering oracle for the event loop.
 
-The calendar kernel is the default; the binary-heap loop is kept as the
-parity oracle.  For any workload, both kernels must produce the same
-callback order, the same clock trajectory, and the same counters —
-``(now, events_executed, trace)`` equality is the contract that lets
-recorded scenario fingerprints stand for both.
+Whatever the loop does internally — epoch extraction, same-instant
+appends to the draining batch, grouped dispatch, lazy cancellation,
+in-place heap compaction, ``until=`` stops — the executed entries must
+come out in exactly ``(time, seq)`` order, and they must be exactly the
+scheduled entries that were never cancelled.  The oracle needs no
+second implementation: it sorts what was scheduled.
 
-The second half unit-tests the ``_CalendarQueue`` regimes directly
-(heap mode, bucket mode, migrations, resize, pathological fallback),
-which high-level workloads rarely reach because repo scenarios keep
-queues small.
+Workloads are sized so each mechanism engages (>64 pending entries,
+>=64 lazy cancels), and ``kernel_stats()`` confirms it did.
 """
 
 import random
 
 import pytest
 
-from repro.simkernel import ScheduledCallback, Simulation
-from repro.simkernel.sim import _CalendarQueue
+from repro.simkernel import Simulation, batch_dispatch
 
 
-# -- randomized cross-kernel identity -----------------------------------
+class _Receiver:
+    """A receiver with a batchable handler, so grouped dispatch engages."""
+
+    def __init__(self, fire):
+        self.fire = fire
+
+    def hit(self, key):
+        self.fire(key)
+
+    def _hit_batch(self, entries):
+        for entry in entries:
+            self.fire(*entry.args)
 
 
-def _run_workload(kernel: str, seed: int):
-    """A seeded random workload: nested schedules, same-instant bursts,
-    cancels, and a run-until boundary mid-flight.
+batch_dispatch(_Receiver.hit, _Receiver._hit_batch)
 
-    Both kernels construct identical rng streams *because* they execute
-    callbacks in identical order — any divergence desynchronizes the
-    draws and shows up as a trace mismatch.
+
+def _run_oracle_workload(dispatch: str, seed: int):
+    """A seeded random workload; returns (executed, scheduled, sim).
+
+    ``executed`` lists ``(sim.now, seq)`` per executed entry, in
+    execution order; ``scheduled`` holds every handle ever returned.
     """
-    sim = Simulation(kernel=kernel)
+    sim = Simulation(dispatch=dispatch)
     rng = random.Random(seed)
-    trace = []
-    budget = [300]
+    handles = []
+    executed = []
+    budget = [1200]
 
-    def cb(tag):
-        trace.append((sim.now, tag))
-        if budget[0] <= 0:
-            return
-        for k in range(rng.randint(0, 2)):
+    def fire(key):
+        handle = handles[key]
+        assert handle.time == sim.now
+        executed.append((sim.now, handle.seq))
+        for _ in range(rng.randint(0, 2)):
+            if budget[0] <= 0:
+                break
             budget[0] -= 1
-            # 0.0 delays exercise the calendar's epoch fast path
-            # (schedule-at-now joins the draining batch).
-            delay = rng.random() * 4.0 if rng.random() < 0.7 else 0.0
-            h = sim.schedule(delay, cb, f"{tag}.{k}")
-            if rng.random() < 0.25:
-                h.cancel()
+            # Delay 0 cascades within the epoch being drained.
+            add(0.0 if rng.random() < 0.3 else rng.random() * 3.0)
+        if rng.random() < 0.4:
+            # Any handle: a same-epoch sibling, a heap entry, or an
+            # already executed one (a no-op).
+            handles[rng.randrange(len(handles))].cancel()
 
-    for i in range(100):
-        # Duplicate timestamps force multi-entry epochs.
-        t = rng.choice([2.5, 2.5, 10.0, rng.random() * 40.0])
-        h = sim.schedule_at(t, cb, f"i{i}")
-        if rng.random() < 0.2:
-            h.cancel()
+    receivers = [_Receiver(fire) for _ in range(3)]
 
-    sim.run(until=15.0)
-    trace.append(("pause", sim.now, sim.events_executed))
+    def add(delay, at=None):
+        key = len(handles)
+        # Mostly batchable receivers, so consecutive same-receiver runs
+        # form inside an epoch; plain callbacks split those runs.
+        pick = rng.randrange(5)
+        callback = fire if pick >= len(receivers) else receivers[pick].hit
+        if at is None:
+            handles.append(sim.schedule(delay, callback, key))
+        else:
+            handles.append(sim.schedule_at(at, callback, key))
+
+    for _ in range(400):
+        # Few distinct times: multi-entry epochs with long same-handler runs.
+        add(0.0, at=rng.choice([1.0, 1.0, 2.5, 7.0, rng.random() * 30.0]))
+    # Far-future churn: enough lazy cancels to trigger compaction.
+    for _ in range(150):
+        add(0.0, at=50.0 + rng.random() * 10.0)
+        handles[-1].cancel()
+
+    for stop in (2.5, 6.0, 13.75):
+        sim.run(until=stop)
+        assert sim.now == stop
+        add(0.0)  # at the stop instant, scheduled from outside the loop
+        add(0.0, at=sim.now + 0.5)
     sim.run()
-    return trace, sim.now, sim.events_executed, sim.pending_count
+    return executed, handles, sim
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_kernels_identical_on_random_workloads(seed):
-    assert _run_workload("calendar", seed) == _run_workload("heap", seed)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dispatch", ["batched", "scalar"])
+def test_execution_order_is_sorted_live_entries(dispatch, seed):
+    executed, handles, sim = _run_oracle_workload(dispatch, seed)
+    expected = sorted((h.time, h.seq) for h in handles if not h.cancelled)
+    assert executed == expected
+    assert all(h.executed != h.cancelled for h in handles)
+    assert sim.pending_count == 0
+    assert sim._queue_len() == 0
+    stats = sim.kernel_stats()
+    assert stats["executed"] == len(executed)
+    # The mechanisms really ran.
+    assert stats["cancels"] >= 64
+    assert stats["compactions"] >= 1
+    assert stats["max_batch"] > 64
+    if dispatch == "batched":
+        assert stats["grouped_events"] > 0
+    else:
+        assert stats["grouped_events"] == 0
 
 
-def test_kernels_identical_on_pathological_spacing():
-    """Exponentially growing gaps — the distribution calendars hate."""
+def test_step_matches_run():
+    """Single-stepping walks the same (time, seq) order as run()."""
 
-    def run(kernel):
-        sim = Simulation(kernel=kernel)
-        trace = []
-        t = 0.001
-        for i in range(120):
-            sim.schedule_at(t, lambda i=i: trace.append((sim.now, i)))
-            t *= 1.7
-        sim.run()
-        return trace, sim.now, sim.events_executed
+    def trace(drive):
+        sim = Simulation()
+        out = []
 
-    assert run("calendar") == run("heap")
+        def cb(tag, depth):
+            out.append((sim.now, tag))
+            if depth:
+                sim.schedule(0.0, cb, f"{tag}.0", depth - 1)
+                sim.schedule(0.5, cb, f"{tag}.1", depth - 1)
 
+        for i in range(6):
+            sim.schedule_at(float(i % 3), cb, f"r{i}", 2)
+        drive(sim)
+        return out, sim.now, sim.events_executed
 
-def test_invariants_after_compaction_both_kernels():
-    for kernel in ("calendar", "heap"):
-        sim = Simulation(kernel=kernel)
-        live = [sim.schedule(float(t), lambda: None) for t in range(1, 21)]
-        doomed = [sim.schedule(100.0, lambda: None) for _ in range(300)]
-        for h in doomed:
-            h.cancel()
-        assert sim.pending_count == 20, kernel
-        assert sim.kernel_stats()["compactions"] >= 1, kernel
-        sim.run()
-        assert sim.events_executed == 20, kernel
-        assert sim.pending_count == 0, kernel
-        assert sim._queue_len() == 0, kernel
-        assert all(h.executed for h in live), kernel
+    def step_all(sim):
+        while sim.step():
+            pass
+
+    assert trace(step_all) == trace(lambda sim: sim.run())
 
 
-# -- _CalendarQueue regime unit tests ------------------------------------
+def test_invariants_after_compaction():
+    sim = Simulation()
+    live = [sim.schedule(float(t), lambda: None) for t in range(1, 21)]
+    doomed = [sim.schedule(100.0, lambda: None) for _ in range(300)]
+    for h in doomed:
+        h.cancel()
+    assert sim.pending_count == 20
+    assert sim.kernel_stats()["compactions"] >= 1
+    sim.run()
+    assert sim.events_executed == 20
+    assert sim.pending_count == 0
+    assert sim._queue_len() == 0
+    assert all(h.executed for h in live)
 
 
-def _entries(times):
-    return [ScheduledCallback(t, seq, lambda: None, ()) for seq, t in enumerate(times)]
-
-
-def _drain(q):
-    out = []
-    while True:
-        batch = q.extract_batch(None)
-        if batch is None:
-            return out
-        t, entries = batch
-        for e in entries:
-            out.append((t, e.seq))
-
-
-class TestCalendarQueueRegimes:
-    def test_small_queue_stays_in_heap_mode(self):
-        q = _CalendarQueue()
-        for e in _entries([3.0, 1.0, 2.0]):
-            q.insert(e)
-        assert q.stats()["mode"] == "heap"
-        assert _drain(q) == [(1.0, 1), (2.0, 2), (3.0, 0)]
-
-    def test_grow_migrates_to_buckets(self):
-        q = _CalendarQueue()
-        times = [(i * 37 % 100) / 10.0 for i in range(q.GROW_AT + 10)]
-        for e in _entries(times):
-            q.insert(e)
-        assert q.stats()["mode"] == "buckets"
-        assert q.migrations >= 1
-        drained = _drain(q)
-        assert drained == sorted(drained)
-        assert len(drained) == len(times)
-
-    def test_shrink_migrates_back_to_heap(self):
-        q = _CalendarQueue()
-        n = q.GROW_AT + 20
-        for e in _entries([float(i) for i in range(n)]):
-            q.insert(e)
-        assert q.stats()["mode"] == "buckets"
-        drained = _drain(q)
-        assert len(drained) == n
-        assert q.stats()["mode"] == "heap"  # crossed SHRINK_AT on the way down
-        assert q.migrations >= 2
-
-    def test_equal_times_drain_in_seq_order_across_migration(self):
-        q = _CalendarQueue()
-        # All entries at one instant: migration must preserve seq order.
-        for e in _entries([5.0] * (q.GROW_AT + 5)):
-            q.insert(e)
-        batch = q.extract_batch(None)
-        assert batch is not None
-        t, entries = batch
-        assert t == 5.0
-        assert [e.seq for e in entries] == list(range(q.GROW_AT + 5))
-
-    def test_lazy_cancel_discard_accounting(self):
-        q = _CalendarQueue()
-        entries = _entries([float(i) for i in range(100)])
-        for e in entries:
-            q.insert(e)
-        for e in entries[::2]:
-            e.cancelled = True
-        drained = _drain(q)
-        assert [seq for _, seq in drained] == list(range(1, 100, 2))
-        assert q.discards == 50
-        assert q.qsize == 0
-
-    def test_compact_drops_cancelled_in_both_modes(self):
-        for n in (10, 100):  # heap regime, bucket regime
-            q = _CalendarQueue()
-            entries = _entries([float(i) for i in range(n)])
-            for e in entries:
-                q.insert(e)
-            for e in entries[: n // 2]:
-                e.cancelled = True
-            q.compact()
-            assert q.qsize == n - n // 2
-            assert [seq for _, seq in _drain(q)] == list(range(n // 2, n))
-
-    def test_sparse_gap_triggers_direct_search(self):
-        # A dense cluster plus a far-away band inserted *after* the
-        # rebuild sized the calendar around the cluster: once the
-        # cluster drains, a whole year of buckets is empty and the
-        # cursor walk must give up and search directly.
-        q = _CalendarQueue()
-        for e in _entries([i / 70.0 for i in range(70)]):
-            q.insert(e)
-        assert q.stats()["mode"] == "buckets"
-        far = [ScheduledCallback(1000.0 + i, 1000 + i, lambda: None, ()) for i in range(30)]
-        for e in far:
-            q.insert(e)
-        drained = _drain(q)
-        assert len(drained) == 100
-        assert drained == sorted(drained)
-        assert q.direct_searches >= 1
-        assert not q.fallback  # one recovery search is not pathological
-
-    def test_fallback_mode_still_extracts_in_order(self):
-        q = _CalendarQueue()
-        for e in _entries([float(i % 7) for i in range(80)]):
-            q.insert(e)
-        # Force the permanent fallback directly; extraction must agree
-        # with plain (time, seq) ordering from then on.
-        q._consec_direct = q.FALLBACK_AFTER - 1
-        q._direct_search()
-        assert q.fallback and q.use_heap
-        drained = _drain(q)
-        assert drained == sorted(drained)
-        assert len(drained) == 80
-        assert q.stats()["mode"] == "fallback"
-
-    def test_insert_behind_cursor_is_not_lost(self):
-        q = _CalendarQueue()
-        n = q.GROW_AT + 10
-        for e in _entries([100.0 + i for i in range(n)]):
-            q.insert(e)
-        assert q.stats()["mode"] == "buckets"
-        t, entries = q.extract_batch(None)
-        assert t == 100.0
-        # Now insert earlier than the cursor's bucket.
-        early = ScheduledCallback(1.0, 10_000, lambda: None, ())
-        q.insert(early)
-        t2, entries2 = q.extract_batch(None)
-        assert t2 == 1.0 and entries2[0] is early
-
-    def test_resize_grows_bucket_count(self):
-        q = _CalendarQueue()
-        for e in _entries([float(i) * 0.125 for i in range(600)]):
-            q.insert(e)
-        assert q.nbuckets > q.MIN_BUCKETS
-        assert q.resizes >= 1
-        assert len(_drain(q)) == 600
-
-
-# -- lazy-cancel compaction at scale -------------------------------------
-
-
-def test_heap_kernel_keeps_events_through_compaction(monkeypatch):
+def test_stress64_keeps_events_through_compaction(monkeypatch):
     """64 churned streams cross the 64-cancel compaction threshold.
 
-    Compaction must rebuild the heap in place: the run loops drain a
-    local alias of it, so rebinding the attribute silently dropped every
-    event scheduled afterwards.
+    Every live entry must survive compaction (an earlier loop drained a
+    stale alias of the rebuilt heap and silently lost every event
+    scheduled afterwards).  Both dispatch modes execute all 1338 events.
     """
     import repro.simkernel
     from repro.experiments.bench import _run_stress_blkio
@@ -259,12 +172,7 @@ def test_heap_kernel_keeps_events_through_compaction(monkeypatch):
 
     monkeypatch.setattr(repro.simkernel, "Simulation", Recording)
     events = {}
-    for kernel in ("calendar", "heap"):
-        for dispatch in ("batched", "scalar"):
-            _, executed, _ = _run_stress_blkio(
-                True, kernel=kernel, dispatch=dispatch, n_streams=64
-            )
-            events[kernel, dispatch] = executed
-            if kernel == "heap":
-                assert sims[-1].kernel_stats()["compactions"] >= 1
-    assert len(set(events.values())) == 1, events
+    for dispatch in ("batched", "scalar"):
+        _, events[dispatch], _ = _run_stress_blkio(True, dispatch=dispatch, n_streams=64)
+        assert sims[-1].kernel_stats()["compactions"] >= 1
+    assert events == {"batched": 1338, "scalar": 1338}

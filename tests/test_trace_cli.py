@@ -222,6 +222,25 @@ class TestCliObservability:
         assert main(["figure", "fig05", "--fast", "--trace-out", str(trace)]) == 0
         assert trace.exists()
 
+    def test_parallel_sweep_metrics_match_serial(self, capsys, tmp_path, monkeypatch):
+        """Sweep workers ship their registries back: a 2-worker fig10
+        reports the same instruments and counter totals as a serial one."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        snaps = {}
+        for workers in ("1", "2"):
+            path = tmp_path / f"metrics{workers}.json"
+            assert main([
+                "figure", "fig10", "--fast", "--workers", workers,
+                "--metrics-out", str(path),
+            ]) == 0
+            snaps[workers] = json.loads(path.read_text())
+        serial, parallel = snaps["1"], snaps["2"]
+        assert serial and sorted(parallel) == sorted(serial)
+        counters = [name for name, m in serial.items() if m["kind"] == "counter"]
+        assert counters
+        for name in counters:
+            assert parallel[name]["series"] == serial[name]["series"], name
+
     def test_plain_run_stays_disabled(self, capsys):
         from repro.obs import OBS
 
