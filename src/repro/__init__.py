@@ -10,8 +10,9 @@ Core contribution (:mod:`repro.core`):
     :class:`~repro.core.DFTEstimator` — interference estimation;
     :class:`~repro.core.AugmentationBandwidthPlot` and
     :class:`~repro.core.WeightFunction` — the cross-layer coordination maps;
-    :class:`~repro.core.TangoController` — the per-application adaptation
-    loop, with the four policies of the paper's comparison matrix.
+    :class:`~repro.control.TangoController` — the per-application
+    adaptation loop, with the four policies of the paper's comparison
+    matrix.
 
 Substrates:
     :mod:`repro.simkernel` — discrete-event simulation engine;
@@ -32,7 +33,6 @@ from repro.core import (
     Decomposition,
     DFTEstimator,
     ErrorMetric,
-    TangoController,
     WeightFunction,
     build_ladder,
     decompose,
@@ -41,6 +41,7 @@ from repro.core import (
     psnr,
     recompose_full,
 )
+from repro.control import TangoController
 
 __version__ = "1.0.0"
 

@@ -10,9 +10,9 @@ re-exported here under its canonical name::
     print(result.total_skipped_objects, result.mode_transitions)
 
 The deep import paths (``repro.core.error_control.build_ladder``, …)
-keep working, but only the names below are covered by the deprecation
-policy: renames leave a warning shim behind for one release (see
-``docs/api-guide.md`` for the migration table).  Import of this module
+keep working, but only the names below are the supported surface, each
+under one spelling (``docs/api-guide.md`` lists the spellings earlier
+releases removed).  Import of this module
 is intentionally eager — it *is* the compatibility surface, so breaking
 it breaks loudly at import time rather than at first use.
 """

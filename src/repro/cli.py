@@ -102,7 +102,7 @@ def _fig16(fast: bool, workers=1):
 
     return run_fig16(
         node_counts=(1, 2) if fast else (1, 2, 4),
-        parallel=workers not in (None, 1),
+        workers=workers,
     )
 
 

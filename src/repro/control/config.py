@@ -1,13 +1,10 @@
-"""Keyword-only controller construction config (the redesigned API).
+"""Keyword-only controller construction config.
 
-``TangoController`` grew a positional-kwarg sprawl over the releases
-(``prescribed_bound, priority, estimator, *, estimation_interval,
-min_history, history_window, optimistic_bw, degradation``) that made
-every new controller knob a signature change.  :class:`ControllerConfig`
-replaces it with one frozen, keyword-only dataclass validated at
-construction — controllers take ``config=ControllerConfig(...)`` plus
-the two stateful collaborators (``estimator``, ``degradation``) that
-cannot live in a frozen config.
+Every controller takes ``config=ControllerConfig(...)`` — one frozen,
+keyword-only dataclass validated at construction, so a new controller
+knob is a new field rather than a signature change — plus the two
+stateful collaborators (``estimator``, ``degradation``) that cannot live
+in a frozen config.
 
 The config is shared across the whole controller family: Tango's loop
 reads the estimation fields, the PID controller reads the ``pid_*``

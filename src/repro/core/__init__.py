@@ -37,17 +37,6 @@ from repro.core.controller import (
 )
 
 
-def __getattr__(name: str):
-    # ``AdaptationDecision`` / ``TangoController`` moved to
-    # ``repro.control``; resolved lazily so importing ``repro.control``
-    # first never re-enters it mid-initialization (see
-    # ``repro.core.controller``).
-    if name in ("AdaptationDecision", "TangoController", "BaseController"):
-        from repro.core import controller
-
-        return getattr(controller, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "rmse",
     "nrmse",
@@ -84,13 +73,10 @@ __all__ = [
     "unpack_partial",
     "get_transform",
     "TRANSFORMS",
-    "AdaptationDecision",
     "Policy",
     "NoAdaptivityPolicy",
     "StorageOnlyPolicy",
     "AppOnlyPolicy",
     "CrossLayerPolicy",
-    "BaseController",
-    "TangoController",
     "make_policy",
 ]

@@ -12,14 +12,10 @@ Policy              application layer    storage layer
 ==================  ===================  =====================
 
 The controller that closes the loop lives in :mod:`repro.control` (the
-``CONTROLLERS`` registry: "tango", "pid", "mpc"); ``TangoController``
-and ``AdaptationDecision`` are re-exported here so the long-standing
-``repro.core.controller`` import paths keep working.
+``CONTROLLERS`` registry: "tango", "pid", "mpc").
 """
 
 from __future__ import annotations
-
-import importlib
 
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder
@@ -28,14 +24,11 @@ from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.engine.registry import POLICIES, register_policy
 
 __all__ = [
-    "AdaptationDecision",
     "Policy",
     "NoAdaptivityPolicy",
     "StorageOnlyPolicy",
     "AppOnlyPolicy",
     "CrossLayerPolicy",
-    "BaseController",
-    "TangoController",
     "make_policy",
     "POLICY_NAMES",
 ]
@@ -179,25 +172,3 @@ def make_policy(
     registry (keyed by the names used across the experiments)."""
     cls = POLICIES.get(name)
     return cls(weight_fn, weight_cardinality=weight_cardinality)
-
-
-# -- moved-name re-exports -------------------------------------------------
-#
-# The controller family now lives in ``repro.control``; these names are
-# resolved lazily (PEP 562) so importing ``repro.control`` first — e.g.
-# through the CONTROLLERS registry — never re-enters this module while
-# ``repro.control.base`` is still initializing.
-
-_MOVED = {
-    "AdaptationDecision": "repro.control.base",
-    "BaseController": "repro.control.base",
-    "_HistoryEntry": "repro.control.base",
-    "TangoController": "repro.control.tango",
-}
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)

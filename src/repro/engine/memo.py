@@ -85,7 +85,6 @@ def _key(
     metric: ErrorMetric,
     error_bounds: tuple[float, ...],
     seed: int,
-    method: str,
 ) -> tuple:
     # The generated field depends on the app *class* (generate ignores
     # constructor tuning, which only affects analyze()), so the class is
@@ -98,7 +97,6 @@ def _key(
         metric,
         tuple(error_bounds),
         int(seed),
-        method,
     )
 
 
@@ -110,17 +108,16 @@ def ladder_entry(
     metric: ErrorMetric,
     error_bounds: tuple[float, ...],
     seed: int,
-    method: str = "hybrid",
 ) -> LadderEntry:
     """Generate the app's field, decompose it, and build its ladder — memoized.
 
-    ``method`` selects the ladder search strategy (see
-    :func:`repro.core.error_control.build_ladder`) and is part of the
-    cache key.  The generated field is handed to ``build_ladder`` as the
-    reference ``original`` so construction skips its own recompose pass.
+    The ladder is built with the default ``"hybrid"`` search (see
+    :func:`repro.core.error_control.build_ladder`).  The generated field
+    is handed to ``build_ladder`` as the reference ``original`` so
+    construction skips its own recompose pass.
     """
     global _hits, _misses
-    key = _key(app, grid_shape, decimation_ratio, metric, error_bounds, seed, method)
+    key = _key(app, grid_shape, decimation_ratio, metric, error_bounds, seed)
     with _lock:
         hit = _cache.get(key)
         if hit is not None:
@@ -132,7 +129,7 @@ def ladder_entry(
     data.setflags(write=False)
     levels = levels_for_decimation(data.shape, decimation_ratio)
     dec = decompose(data, levels)
-    ladder = build_ladder(dec, list(error_bounds), metric, method=method, original=data)
+    ladder = build_ladder(dec, list(error_bounds), metric, original=data)
     entry = LadderEntry(data, ladder)
     with _lock:
         _cache[key] = entry

@@ -3,9 +3,9 @@
 Tango's recomposition is embarrassingly parallel: each node holds its own
 ephemeral storage and adapts independently, with no communication.  Weak
 scaling therefore runs one independent single-node scenario per node (in
-separate OS processes when ``parallel``, mirroring the paper's 4-node
-Chameleon run) and reports the mean I/O time across nodes — expected to
-stay flat.
+separate OS processes when ``workers`` allows, mirroring the paper's
+4-node Chameleon run) and reports the mean I/O time across nodes —
+expected to stay flat.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import SweepExecutor, resolve_workers
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -67,13 +67,14 @@ def run_fig16(
     node_counts: tuple[int, ...] = (1, 2, 4),
     max_steps: int = 40,
     seed: int = 0,
-    parallel: bool = True,
+    workers: int | str | None = 1,
 ) -> Fig16Result:
     """Weak scaling: per node count, average the per-node mean I/O times.
 
-    ``parallel=False`` runs nodes sequentially in-process (useful in
-    constrained test environments); results are identical because nodes
-    share no state.
+    Each row of ``n`` nodes runs on a pool of ``min(n, workers)``
+    processes (``workers`` as in :func:`~repro.engine.sweep.resolve_workers`;
+    the default 1 runs every node in-process).  Results are identical at
+    any worker count because nodes share no state.
 
     Every node count evaluates the *same* set of per-node scenarios
     (seeds ``seed … seed + max(node_counts) − 1``), executed in batches of
@@ -82,13 +83,11 @@ def run_fig16(
     held fixed.
     """
     total = max(node_counts)
+    width = resolve_workers(workers)
     rows: list[Fig16Row] = []
     for n in node_counts:
         jobs = [(i, seed, max_steps) for i in range(total)]
-        executor = SweepExecutor(
-            workers=min(n, 4) if parallel and n > 1 else 1,
-            chunksize=max(1, total // n),
-        )
+        executor = SweepExecutor(workers=min(n, width), chunksize=max(1, total // n))
         results = executor.map(run_node, jobs)
         means = [m for m, _ in results]
         stds = [s for _, s in results]

@@ -45,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs import OBS
-from repro.storage import jitkernels
 from repro.storage.limits import (
     CAP_SLACK,
     EPS_REMAINING,
@@ -62,8 +61,8 @@ __all__ = [
     "MAX_FLOOR_UTILISATION",
 ]
 
-# The solver constants live in repro.storage.limits (shared with the
-# optional numba kernels); the historical names stay bound here.
+# The solver constants live in repro.storage.limits; the historical
+# names stay bound here.
 _EPS_REMAINING = EPS_REMAINING
 _CAP_SLACK = CAP_SLACK
 
@@ -367,14 +366,6 @@ def solve_rates(
             weights[0], peak_rates[0], caps[0], floors[0],
             weights[1], peak_rates[1], caps[1], floors[1],
         )
-    elif jitkernels.waterfill is not None:
-        out, rounds, capped = jitkernels.waterfill(
-            np.asarray(weights, dtype=np.float64),
-            np.asarray(peak_rates, dtype=np.float64),
-            np.asarray(caps, dtype=np.float64),
-            np.asarray(floors, dtype=np.float64),
-        )
-        rates = out.tolist()
     elif n <= _SCALAR_MAX_STREAMS:
         rates, rounds, capped = _solve_scalar(weights, peak_rates, caps, floors)
     else:
@@ -388,9 +379,9 @@ def solve_rates(
     return rates
 
 
-#: Below this stream count the device's array path converts back to the
-#: scalar waterfill when numba is unavailable: tiny active sets pay more
-#: for numpy dispatch than for a short Python loop.
+#: Up to this stream count the device's array path converts back to the
+#: scalar waterfill: tiny active sets pay more for numpy dispatch than
+#: for a short Python loop.
 _ARRAY_SCALAR_MAX = 8
 
 
@@ -418,8 +409,7 @@ def solve_rates_arrays(
     efficiency) passes them as ``peaks``/``floors`` to skip even that.
     Same allocation semantics, same observability counters, and
     bit-identical rates to :func:`solve_rates` on the equivalent
-    unpacked inputs (the jitted waterfill, when enabled, is itself
-    bit-identical — see :mod:`repro.storage.jitkernels`).
+    unpacked inputs.
 
     Returns the rates in input order as a list or 1-D float64 array.
     """
@@ -447,7 +437,7 @@ def solve_rates_arrays(
             caps[1].item(),
             write_floor if i1 else 0.0,
         )
-    elif jitkernels.waterfill is None and n <= _ARRAY_SCALAR_MAX:
+    elif n <= _ARRAY_SCALAR_MAX:
         if peaks is None:
             isw = is_write.tolist()
             peak_list = [peak_write if iw else peak_read for iw in isw]
@@ -465,11 +455,7 @@ def solve_rates_arrays(
                 floors = np.where(is_write, write_floor, 0.0)
             else:
                 floors = np.zeros(n)
-        wf = jitkernels.waterfill
-        if wf is not None:
-            rates, rounds, capped = wf(weights, peaks, caps, floors)
-        else:
-            rates, rounds, capped = _solve_n_arrays(weights, peaks, caps, floors)
+        rates, rounds, capped = _solve_n_arrays(weights, peaks, caps, floors)
     if OBS.enabled:
         _, _, calls, rounds_c, capped_c, streams_h = _obs_handles()
         calls.inc()

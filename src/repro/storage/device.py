@@ -41,8 +41,7 @@ execution" in ``docs/architecture.md``):
   submissions append k rows and trigger **one** solve, not k.  All of
   this is float-op-for-float-op identical to the scalar per-stream path
   — the recorded stress fingerprints in ``tests/test_dataplane_guard.py``
-  hold across dispatch modes and the optional numba kernels
-  (:mod:`repro.storage.jitkernels`).
+  hold across dispatch modes.
 
 ``fast_path=False`` restores the pre-optimisation cost model (immediate
 per-change reschedules, per-call ``StreamDemand`` construction and the
@@ -64,7 +63,6 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.simkernel import Event, Simulation, batch_dispatch
-from repro.storage import jitkernels
 from repro.storage.blkio import StreamDemand, compute_rates_reference, solve_rates_arrays
 from repro.util.units import GiB, TiB, mb_per_s
 from repro.util.validation import check_non_negative, check_positive
@@ -600,7 +598,7 @@ class BlockDevice:
             self._finished = None
             return
         bytes_moved = self.bytes_moved
-        if n == 1 and jitkernels.progress is None:
+        if n == 1:
             # Single-stream fast path: lightly-loaded scenarios spend most
             # syncs here, where even the length-1 slice/tolist round trip
             # below costs several times the arithmetic.  Expressions match
@@ -628,14 +626,7 @@ class BlockDevice:
         rem = self._arr_rem[:n]
         isw = self._arr_is_write[:n]
         n_write = self._n_write
-        if jitkernels.progress is not None:
-            acc_read, acc_write, n_fin = jitkernels.progress(
-                rate, rem, isw, dt,
-                bytes_moved["read"], bytes_moved["write"], _COMPLETION_EPS,
-            )
-            bytes_moved["read"] = float(acc_read)
-            bytes_moved["write"] = float(acc_write)
-        elif n <= _SYNC_SCALAR_MAX:
+        if n <= _SYNC_SCALAR_MAX:
             acc_read = bytes_moved["read"]
             acc_write = bytes_moved["write"]
             n_fin = 0
@@ -800,7 +791,7 @@ class BlockDevice:
         if not streams:
             return
         n = len(streams)
-        if n == 1 and jitkernels.horizon is None:
+        if n == 1:
             # Single-stream fast path: skip the length-1 slice/tolist round
             # trips (same arithmetic as the scalar loop below).
             if not self.fast_path:
@@ -828,9 +819,7 @@ class BlockDevice:
         elif self._demand_epoch != self._solved_epoch:
             rate[:] = self._solve_fast()
         rem = self._arr_rem[:n]
-        if jitkernels.horizon is not None:
-            horizon = jitkernels.horizon(rate, rem)
-        elif n <= _SYNC_SCALAR_MAX:
+        if n <= _SYNC_SCALAR_MAX:
             horizon = math.inf
             for r, ri in zip(rate.tolist(), rem.tolist()):
                 if r > 0.0:

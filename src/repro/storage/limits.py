@@ -33,9 +33,8 @@ __all__ = [
 
 # -- waterfill solver constants -------------------------------------------
 #
-# Shared by the pure-python/numpy solver (:mod:`repro.storage.blkio`) and
-# the optional numba kernels (:mod:`repro.storage.jitkernels`); hoisted
-# here so both read one definition without a circular import.
+# The progressive-filling constants of :mod:`repro.storage.blkio`, kept
+# beside the demand invariants they complete.
 
 #: Writeback floors may reserve at most this fraction of the device:
 #: kernel dirty throttling keeps flushing, but never to the point of

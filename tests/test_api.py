@@ -1,10 +1,8 @@
-"""Tests for repro.api — the blessed facade — and the deprecation shims."""
+"""Tests for repro.api — the blessed facade — and its canonical spellings."""
 
 import warnings
 
 import pytest
-
-from repro.util.validation import ReproDeprecationWarning
 
 
 class TestFacade:
@@ -43,116 +41,83 @@ class TestFacade:
         assert set(api.__all__) <= exported
 
 
+def _dec():
+    from repro.apps import make_app
+    from repro.core.refactor import decompose, levels_for_decimation
+
+    field = make_app("xgc").generate((64, 64), seed=0)
+    return decompose(field, levels_for_decimation(field.shape, 4))
+
+
+def _controller_parts():
+    from repro.core.abplot import AugmentationBandwidthPlot
+    from repro.core.controller import make_policy
+    from repro.core.error_control import ErrorMetric, build_ladder
+    from repro.util.units import mb_per_s
+
+    ladder = build_ladder(_dec(), [0.1, 0.01], ErrorMetric.NRMSE)
+    abplot = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
+    return ladder, make_policy("app-only", None), abplot
+
+
 class TestScenarioConfigShims:
-    def test_ladder_bounds_keyword_warns_and_maps(self):
-        from repro.experiments.config import ScenarioConfig
-
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            cfg = ScenarioConfig(ladder_bounds=(0.1, 0.01))
-        assert cfg.error_bounds == (0.1, 0.01)
-
-    def test_ladder_bounds_attribute_warns(self):
-        from repro.experiments.config import ScenarioConfig
-
-        cfg = ScenarioConfig()
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            assert cfg.ladder_bounds == cfg.error_bounds
+    """The ``ladder_bounds`` rename shim is gone; ``error_bounds`` is the
+    one spelling ``ScenarioConfig`` takes."""
 
     def test_both_spellings_rejected(self):
         from repro.experiments.config import ScenarioConfig
 
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ScenarioConfig(ladder_bounds=(0.1,), error_bounds=(0.1,))
+            ScenarioConfig(ladder_bounds=(0.1,), error_bounds=(0.1,))
 
     def test_canonical_spelling_is_silent(self):
         from repro.experiments.config import ScenarioConfig
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            ScenarioConfig(error_bounds=(0.1, 0.01))
+            warnings.simplefilter("error", DeprecationWarning)
+            cfg = ScenarioConfig(error_bounds=(0.1, 0.01))
+        assert cfg.error_bounds == (0.1, 0.01)
 
 
 class TestCampaignConfigShims:
-    def test_ladder_bounds_keyword_warns_and_maps(self):
+    """``error_bounds`` is the one spelling ``CampaignConfig`` takes."""
+
+    def test_canonical_spelling_is_silent(self):
         from repro.experiments.campaign import CampaignConfig
 
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            cfg = CampaignConfig(ladder_bounds=(0.1, 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            cfg = CampaignConfig(error_bounds=(0.1, 0.01))
         assert cfg.error_bounds == (0.1, 0.01)
-
-    def test_attribute_shim_warns(self):
-        from repro.experiments.campaign import CampaignConfig
-
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            assert CampaignConfig().ladder_bounds == (0.1, 0.01, 0.001)
 
 
 class TestBuildLadderShims:
-    def _dec(self):
-        from repro.apps import make_app
-        from repro.core.refactor import decompose, levels_for_decimation
-
-        field = make_app("xgc").generate((64, 64), seed=0)
-        return decompose(field, levels_for_decimation(field.shape, 4))
-
-    def test_bounds_keyword_warns(self):
-        from repro.core.error_control import ErrorMetric, build_ladder
-
-        dec = self._dec()
-        with pytest.warns(ReproDeprecationWarning, match="bounds"):
-            ladder = build_ladder(dec, metric=ErrorMetric.NRMSE, bounds=[0.1, 0.01])
-        assert ladder.num_buckets == 2
-
-    def test_build_ladder_for_app_bounds_warns(self):
-        from repro.apps import make_app
-        from repro.core.error_control import ErrorMetric
-        from repro.experiments.runner import build_ladder_for_app
-
-        with pytest.warns(ReproDeprecationWarning, match="bounds"):
-            _, ladder = build_ladder_for_app(
-                make_app("xgc"),
-                grid_shape=(64, 64),
-                decimation_ratio=4,
-                metric=ErrorMetric.NRMSE,
-                bounds=(0.1, 0.01),
-                seed=0,
-            )
-        assert ladder.num_buckets == 2
-
     def test_unknown_keyword_rejected(self):
         from repro.core.error_control import ErrorMetric, build_ladder
 
         with pytest.raises(TypeError):
-            build_ladder(self._dec(), [0.1], ErrorMetric.NRMSE, bogus=(0.1,))
+            build_ladder(_dec(), [0.1], ErrorMetric.NRMSE, bogus=(0.1,))
 
 
 class TestAbplotShim:
-    def test_positional_construction_warns(self):
-        from repro.core.abplot import AugmentationBandwidthPlot
-        from repro.util.units import mb_per_s
-
-        with pytest.warns(ReproDeprecationWarning, match="positional"):
-            ab = AugmentationBandwidthPlot(mb_per_s(30), mb_per_s(120))
-        assert ab.bw_low == mb_per_s(30)
-        assert ab.bw_high == mb_per_s(120)
+    """``bw_low``/``bw_high`` are keyword-only; positional construction
+    is rejected."""
 
     def test_keyword_construction_is_silent(self):
         from repro.core.abplot import AugmentationBandwidthPlot
         from repro.util.units import mb_per_s
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
+            warnings.simplefilter("error", DeprecationWarning)
+            ab = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
+        assert ab.bw_low == mb_per_s(30)
+        assert ab.bw_high == mb_per_s(120)
 
     def test_duplicate_value_rejected(self):
         from repro.core.abplot import AugmentationBandwidthPlot
 
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                AugmentationBandwidthPlot(1.0, bw_low=2.0)
+            AugmentationBandwidthPlot(1.0, bw_low=2.0)
 
     def test_too_many_positionals_rejected(self):
         from repro.core.abplot import AugmentationBandwidthPlot
@@ -162,15 +127,6 @@ class TestAbplotShim:
 
 
 class TestRunnerModuleShim:
-    def test_make_weight_function_import_warns(self):
-        import repro.experiments.runner as runner
-
-        with pytest.warns(ReproDeprecationWarning, match="make_weight_function"):
-            fn = runner.make_weight_function
-        from repro.engine.session import make_weight_function
-
-        assert fn is make_weight_function
-
     def test_unknown_attribute_still_raises(self):
         import repro.experiments.runner as runner
 
@@ -178,90 +134,169 @@ class TestRunnerModuleShim:
             runner.does_not_exist
 
 
+# Each spelling the migration table used to translate behind a warning.
+# Calls now fail like any unknown argument (TypeError); removed names
+# fail like any missing attribute (AttributeError).
+def _scenario_ladder_bounds():
+    from repro.experiments.config import ScenarioConfig
+
+    ScenarioConfig(ladder_bounds=(0.1, 0.01))
+
+
+def _campaign_ladder_bounds():
+    from repro.experiments.campaign import CampaignConfig
+
+    CampaignConfig(ladder_bounds=(0.1, 0.01))
+
+
+def _scenario_ladder_bounds_attr():
+    from repro.experiments.config import ScenarioConfig
+
+    ScenarioConfig().ladder_bounds
+
+
+def _campaign_ladder_bounds_attr():
+    from repro.experiments.campaign import CampaignConfig
+
+    CampaignConfig().ladder_bounds
+
+
+def _build_ladder_bounds():
+    from repro.core.error_control import ErrorMetric, build_ladder
+
+    build_ladder(_dec(), metric=ErrorMetric.NRMSE, bounds=[0.1, 0.01])
+
+
+def _build_ladder_for_app_bounds():
+    from repro.apps import make_app
+    from repro.core.error_control import ErrorMetric
+    from repro.experiments.runner import build_ladder_for_app
+
+    build_ladder_for_app(
+        make_app("xgc"),
+        grid_shape=(64, 64),
+        decimation_ratio=4,
+        metric=ErrorMetric.NRMSE,
+        bounds=(0.1, 0.01),
+        seed=0,
+    )
+
+
+def _abplot_positional():
+    from repro.core.abplot import AugmentationBandwidthPlot
+    from repro.util.units import mb_per_s
+
+    AugmentationBandwidthPlot(mb_per_s(30), mb_per_s(120))
+
+
+def _tango_legacy_kwargs():
+    from repro.control import TangoController
+
+    TangoController(*_controller_parts(), prescribed_bound=0.01, priority=5.0)
+
+
+def _tango_legacy_positionals():
+    from repro.control import TangoController
+
+    TangoController(*_controller_parts(), 0.01, 2.0)
+
+
+def _runner_make_weight_function():
+    import repro.experiments.runner as runner
+
+    runner.make_weight_function
+
+
+def _core_controller_reexport(name):
+    def lookup():
+        import repro.core.controller as controller
+
+        getattr(controller, name)
+
+    return lookup
+
+
+def _core_package_reexport(name):
+    def lookup():
+        import repro.core as core
+
+        getattr(core, name)
+
+    return lookup
+
+
+_REMOVED = [
+    ("ScenarioConfig(ladder_bounds=)", _scenario_ladder_bounds, TypeError),
+    ("CampaignConfig(ladder_bounds=)", _campaign_ladder_bounds, TypeError),
+    ("build_ladder(bounds=)", _build_ladder_bounds, TypeError),
+    ("build_ladder_for_app(bounds=)", _build_ladder_for_app_bounds, TypeError),
+    ("AugmentationBandwidthPlot(low, high)", _abplot_positional, TypeError),
+    ("TangoController(prescribed_bound=)", _tango_legacy_kwargs, TypeError),
+    ("TangoController(bound, priority)", _tango_legacy_positionals, TypeError),
+    ("ScenarioConfig.ladder_bounds", _scenario_ladder_bounds_attr, AttributeError),
+    ("CampaignConfig.ladder_bounds", _campaign_ladder_bounds_attr, AttributeError),
+    ("runner.make_weight_function", _runner_make_weight_function, AttributeError),
+    *[
+        (f"core.controller.{name}", _core_controller_reexport(name), AttributeError)
+        for name in ("TangoController", "BaseController", "AdaptationDecision", "_HistoryEntry")
+    ],
+    *[
+        (f"core.{name}", _core_package_reexport(name), AttributeError)
+        for name in ("TangoController", "BaseController", "AdaptationDecision")
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    ("spelling", "error"),
+    [case[1:] for case in _REMOVED],
+    ids=[case[0] for case in _REMOVED],
+)
+def test_removed_spelling_raises(spelling, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with pytest.raises(error):
+            spelling()
+
+
 class TestControllerConstructionShim:
-    """The legacy TangoController(..., prescribed_bound=...) signature
-    works for one release behind a deprecation warning; the config=
-    path is the canonical, silent spelling."""
-
-    def _parts(self):
-        from repro.apps import make_app
-        from repro.core.abplot import AugmentationBandwidthPlot
-        from repro.core.controller import make_policy
-        from repro.core.error_control import ErrorMetric, build_ladder
-        from repro.core.refactor import decompose, levels_for_decimation
-        from repro.util.units import mb_per_s
-
-        field = make_app("xgc").generate((64, 64), seed=0)
-        ladder = build_ladder(
-            decompose(field, levels_for_decimation(field.shape, 4)),
-            [0.1, 0.01],
-            ErrorMetric.NRMSE,
-        )
-        abplot = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
-        return ladder, make_policy("app-only", None), abplot
-
-    def test_legacy_kwargs_warn_and_map(self):
-        from repro.control import TangoController
-
-        ladder, policy, abplot = self._parts()
-        with pytest.warns(ReproDeprecationWarning, match="ControllerConfig"):
-            ctrl = TangoController(
-                ladder, policy, abplot, prescribed_bound=0.01, priority=5.0
-            )
-        assert ctrl.config.prescribed_bound == 0.01
-        assert ctrl.config.priority == 5.0
-
-    def test_legacy_positionals_warn_and_map(self):
-        from repro.control import TangoController
-        from repro.core.estimator import MeanEstimator
-
-        ladder, policy, abplot = self._parts()
-        with pytest.warns(ReproDeprecationWarning, match="ControllerConfig"):
-            ctrl = TangoController(ladder, policy, abplot, 0.01, 2.0, MeanEstimator())
-        assert ctrl.config.prescribed_bound == 0.01
-        assert ctrl.config.priority == 2.0
-        assert isinstance(ctrl.estimator, MeanEstimator)
+    """``TangoController`` takes only the ``config=`` spelling."""
 
     def test_config_path_is_silent(self):
         from repro.control import ControllerConfig, TangoController
 
-        ladder, policy, abplot = self._parts()
         with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            TangoController(
-                ladder, policy, abplot, config=ControllerConfig(prescribed_bound=0.01)
+            warnings.simplefilter("error", DeprecationWarning)
+            ctrl = TangoController(
+                *_controller_parts(), config=ControllerConfig(prescribed_bound=0.01)
             )
+        assert ctrl.config.prescribed_bound == 0.01
 
     def test_config_plus_legacy_rejected(self):
         from repro.control import ControllerConfig, TangoController
 
-        ladder, policy, abplot = self._parts()
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                TangoController(
-                    ladder,
-                    policy,
-                    abplot,
-                    prescribed_bound=0.02,
-                    config=ControllerConfig(prescribed_bound=0.01),
-                )
+            TangoController(
+                *_controller_parts(),
+                prescribed_bound=0.02,
+                config=ControllerConfig(prescribed_bound=0.01),
+            )
 
     def test_neither_config_nor_legacy_rejected(self):
         from repro.control import TangoController
 
-        ladder, policy, abplot = self._parts()
         with pytest.raises(TypeError, match="config"):
-            TangoController(ladder, policy, abplot)
+            TangoController(*_controller_parts())
 
     def test_unknown_legacy_kwarg_rejected(self):
-        from repro.control import TangoController
+        from repro.control import ControllerConfig, TangoController
 
-        ladder, policy, abplot = self._parts()
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                TangoController(ladder, policy, abplot, prescribed_bound=0.01, gain=2.0)
+            TangoController(
+                *_controller_parts(),
+                config=ControllerConfig(prescribed_bound=0.01),
+                gain=2.0,
+            )
 
     def test_controller_surface_on_facade(self):
         import repro.api as api

@@ -2,16 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage import blkio
 from repro.storage.blkio import (
     MAX_FLOOR_UTILISATION,
     StreamDemand,
     compute_rates,
     compute_rates_reference,
     solve_rates,
+    solve_rates_arrays,
 )
 
 PEAK = 200e6
@@ -248,3 +251,48 @@ class TestSolverParity:
 
     def test_empty_solve(self):
         assert solve_rates([], [], [], []) == []
+
+    # Every solver branch is chosen by stream count alone: 1 and 2 are
+    # scalar closed forms, ``solve_rates`` loops in Python up to 24
+    # streams and vectorises above, ``solve_rates_arrays`` converts back
+    # to the scalar loop up to 8.  These sizes sit on both sides of each
+    # crossover.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 24, 25, 64])
+    @pytest.mark.parametrize("case", ["caps", "floors", "caps+floors"])
+    def test_every_branch_bit_identical_to_reference(self, n, case):
+        peak_read, peak_write = 200e6, 150e6
+        is_write = np.array([i % 2 == 0 for i in range(n)])
+        weights = np.array([100.0 + (37 * i) % 900 for i in range(n)])
+        if case == "floors":
+            caps = np.full(n, math.inf)
+        else:
+            # Caps at staggered fractions of an equal share: the tightest
+            # saturate first, and each round's released surplus pushes
+            # the next tier over its cap.
+            tiers = (0.3, math.inf, 1.2, 0.6, 0.9)
+            caps = np.array([peak_read * tiers[i % len(tiers)] / n for i in range(n)])
+        # 0.9 of the write peak per write stream: uncapped, one write
+        # stream alone oversubscribes the reservable 0.8.
+        write_floor = 0.0 if case == "caps" else 0.9 * peak_write
+        peaks = np.where(is_write, peak_write, peak_read)
+        floors = np.where(is_write, write_floor, 0.0)
+        demands = [
+            d(i, weights[i].item(), peak=peaks[i].item(), cap=caps[i].item(),
+              floor=floors[i].item())
+            for i in range(n)
+        ]
+        if case == "caps" and n >= 2:
+            _, rounds, _ = blkio._solve_scalar(
+                weights.tolist(), peaks.tolist(), caps.tolist(), floors.tolist()
+            )
+            assert rounds >= 2, "caps must force more than one filling round"
+        if case == "floors":
+            assert sum(floors / peaks) > MAX_FLOOR_UTILISATION
+
+        ref = compute_rates_reference(demands)
+        expected = [ref[i] for i in range(n)]
+        assert compute_rates(demands) == ref
+        args = (weights, caps, is_write, peak_read, peak_write, write_floor)
+        assert np.asarray(solve_rates_arrays(*args)).tolist() == expected
+        with_rows = solve_rates_arrays(*args, peaks=peaks, floors=floors)
+        assert np.asarray(with_rows).tolist() == expected

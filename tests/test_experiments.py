@@ -187,10 +187,29 @@ class TestFig15:
 
 class TestFig16:
     def test_weak_scaling_flat(self):
-        res = run_fig16(node_counts=(1, 2), max_steps=8, parallel=False)
+        res = run_fig16(node_counts=(1, 2), max_steps=8)
         assert res.scaling_flatness() == pytest.approx(1.0)
 
     def test_parallel_matches_sequential(self):
-        seq = run_fig16(node_counts=(2,), max_steps=5, parallel=False)
-        par = run_fig16(node_counts=(2,), max_steps=5, parallel=True)
+        seq = run_fig16(node_counts=(2,), max_steps=5, workers=1)
+        par = run_fig16(node_counts=(2,), max_steps=5, workers=2)
         assert seq.rows[0].mean_io_time == pytest.approx(par.rows[0].mean_io_time)
+
+    def test_workers_bounds_every_pool(self, monkeypatch):
+        """``workers=2`` caps each row's pool at 2, the 4-node row included."""
+        from repro.engine.sweep import SweepExecutor
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        widths = []
+        init = SweepExecutor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            widths.append(self.workers)
+
+        monkeypatch.setattr(SweepExecutor, "__init__", recording_init)
+        monkeypatch.setattr(
+            SweepExecutor, "map", lambda self, fn, items: [(1.0, 0.0) for _ in items]
+        )
+        run_fig16(node_counts=(1, 2, 4), workers=2)
+        assert widths == [1, 2, 2]

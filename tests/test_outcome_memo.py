@@ -104,7 +104,7 @@ def test_fig16_cli_serial_by_default_matches_pool(monkeypatch):
     from repro.cli import FIGURES
     from repro.experiments.fig16 import run_fig16
 
-    pooled = run_fig16(parallel=True)
+    pooled = run_fig16(workers=4)
 
     def no_pool(self):
         raise AssertionError("fig16 spawned a process pool with workers=1")
