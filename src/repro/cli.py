@@ -5,7 +5,7 @@ Examples::
     python -m repro scenario --app xgc --policy cross-layer --steps 30
     python -m repro figure fig08 --fast
     python -m repro figure headline
-    python -m repro cluster --nodes 32 --arbitration adaptbf --workers auto
+    python -m repro cluster --nodes 32 --arbitration adaptbf
     python -m repro tables
     python -m repro list
 """
@@ -160,7 +160,6 @@ def _cluster(fast: bool, workers=1):
         shards=2 if fast else 4,
         tenants_per_node=2 if fast else 4,
         rounds=12 if fast else 40,
-        workers=workers,
     )
 
 
@@ -362,13 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arbitration", default="centralized", choices=ARBITRATION.names()
     )
     cl.add_argument("--seed", type=int, default=0)
-    cl.add_argument(
-        "--workers",
-        default="auto",
-        metavar="N",
-        help="shard worker processes ('auto' = all CPUs, capped by shards "
-        "and REPRO_WORKERS)",
-    )
     cl.add_argument("--json", action="store_true", help="print a JSON summary")
 
     bench = sub.add_parser(
@@ -573,14 +565,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         rounds=args.rounds,
         arbitration=args.arbitration,
         seed=args.seed,
-        workers=_parse_workers(args.workers),
     )
     result = run_cluster(config)
     summary = {
         "arbitration": args.arbitration,
         "nodes": args.nodes,
         "shards": args.shards,
-        "workers": result.workers,
         "rounds": args.rounds,
         "events_executed": result.events_executed,
         "events_per_sec": result.events_per_sec,
@@ -595,7 +585,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=2))
         return 0
     print(f"cluster {args.arbitration}: {args.nodes} nodes x {args.tenants} tenants, "
-          f"{args.shards} shards on {result.workers} worker(s), {args.rounds} rounds")
+          f"{args.shards} shards, {args.rounds} rounds")
     print(f"  events        : {result.events_executed:,} "
           f"({result.events_per_sec:,.0f} events/s)")
     print(f"  Jain fairness : {result.jain_fairness:.4f}")

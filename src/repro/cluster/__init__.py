@@ -2,8 +2,8 @@
 
 One :class:`ClusterConfig` describes ``n_nodes`` token-governed nodes
 partitioned over ``shards`` independent simulations, advanced in
-bounded-lag rounds by :func:`run_cluster` — serially or on a pool of
-``spawn`` workers, with bit-identical results either way.  Cross-node
+bounded-lag rounds by :func:`run_cluster` — in-process, in shard order,
+with bit-identical results at every shard count.  Cross-node
 bandwidth arbitration is a registry axis (:data:`ARBITRATION`):
 ``centralized`` mirrors the paper's global weight controller,
 ``adaptbf`` trades tokens between ring neighbours with no coordinator.
@@ -20,12 +20,6 @@ from repro.cluster.bus import Message, Outbox, route
 from repro.cluster.config import ClusterConfig
 from repro.cluster.kernel import ClusterResult, jain_index, run_cluster
 from repro.cluster.node import LATENCY_BUCKETS, NodeReport, NodeState
-from repro.cluster.pool import (
-    SerialShardPool,
-    ShardPool,
-    ShardWorkerError,
-    make_shard_pool,
-)
 from repro.cluster.shard import ShardResult, ShardRuntime
 
 __all__ = [
@@ -46,8 +40,4 @@ __all__ = [
     "LATENCY_BUCKETS",
     "ShardRuntime",
     "ShardResult",
-    "ShardPool",
-    "SerialShardPool",
-    "ShardWorkerError",
-    "make_shard_pool",
 ]

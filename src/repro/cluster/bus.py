@@ -7,7 +7,7 @@ hook or the round-end report hook) is delivered at the start of round
 ``k + 1`` — the bounded-lag contract that makes shard execution order
 irrelevant.  Delivery order is canonical: messages are sorted by
 ``(time, src, seq)`` per destination, so a node sees the same inbox no
-matter how many workers carried the senders.
+matter how the senders were partitioned over shards.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def route(messages: list[Message]) -> dict[int, list[Message]]:
     """Group a round's traffic by destination node, canonically ordered.
 
     Sorting by ``(time, src, seq)`` before grouping makes the inbox a
-    pure function of the message *set* — worker count and shard
-    completion order cannot leak into delivery order.
+    pure function of the message *set* — the shard layout cannot leak
+    into delivery order.
     """
     inboxes: dict[int, list[Message]] = {}
     for msg in sorted(messages, key=lambda m: (m.time, m.src, m.seq)):

@@ -1,11 +1,10 @@
-"""``ClusterConfig``: one frozen, picklable description of a cluster run.
+"""``ClusterConfig``: one frozen description of a cluster run.
 
 A cluster run is ``n_nodes`` simulated nodes partitioned over ``shards``
 shard simulations, advanced in bounded-lag rounds of ``round_interval``
 simulated seconds (see :mod:`repro.cluster.kernel`).  Every knob lives
-here so a config can cross a ``spawn`` process boundary and rebuild the
-exact same cluster in a worker — determinism is a function of
-``(config, seed)`` alone, never of where a shard executes.
+here, so a run is a function of ``(config, seed)`` alone — the shard
+count only partitions the nodes and never changes the outcome.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ class ClusterConfig:
     return_watermark: float = 0.5
     # -- substrate passthrough -------------------------------------------
     dispatch: str = "batched"
-    #: Worker processes for the shard pool: ``None``/1 → serial (every
-    #: shard in-process), ``"auto"`` → CPUs; always capped by
-    #: ``min(shards, REPRO_WORKERS)``.
-    workers: int | str | None = None
     #: Collect per-round per-node rate snapshots (timelines + invariant
     #: checks; off for soak benchmarks).
     collect_round_stats: bool = True

@@ -1,19 +1,18 @@
-"""The cluster kernel: bounded-lag rounds over a shard pool.
+"""The cluster kernel: bounded-lag rounds over in-process shards.
 
-:func:`run_cluster` is the one entry point: it builds a shard pool
-(serial in-process, or ``spawn`` workers via
-:func:`~repro.engine.sweep.resolve_workers` — always capped by the shard
-count and ``REPRO_WORKERS``), advances every shard in lockstep rounds,
-ferries bus traffic between boundaries, and folds the shard outcomes
-into one :class:`ClusterResult`.
+:func:`run_cluster` is the one entry point: it builds one
+:class:`~repro.cluster.shard.ShardRuntime` per shard, advances every
+shard in lockstep rounds (shard order 0..S−1), ferries bus traffic
+between boundaries, and folds the shard outcomes into one
+:class:`ClusterResult`.
 
 Determinism contract: the result — merged metrics, SLO board, node
 reports, the :meth:`ClusterResult.fingerprint` over all of it — is a
-pure function of ``(config, seed)``.  Worker count only changes where
-shards execute; the cross-shard schedule (round boundaries + canonical
-message order) and the merge order (shard 0..S−1) are fixed.  Wall-clock
-timing starts *after* the pool is up, so throughput numbers measure
-simulation, not process spawn.
+pure function of ``(config, seed)`` and does not change with ``shards``.
+Shards are a data partition: the cross-shard schedule (round boundaries
++ canonical message order) and the merge order (shard 0..S−1) are
+fixed, and the cluster-wide ``node="all"`` latency series is built once,
+after the merge, from the per-node series.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.bus import Message
 from repro.cluster.config import ClusterConfig
-from repro.cluster.pool import make_shard_pool
 from repro.cluster.node import NodeReport
-from repro.engine.sweep import resolve_workers
+from repro.cluster.shard import ShardRuntime
 from repro.obs.metrics import Registry
 
 __all__ = ["ClusterResult", "run_cluster", "jain_index"]
@@ -54,8 +52,6 @@ class ClusterResult:
     """Everything a cluster run produced, merged in canonical order."""
 
     config: ClusterConfig
-    #: Worker processes the shards actually ran on (1 = serial).
-    workers: int
     #: Per-node outcomes, ascending node id.
     reports: tuple[NodeReport, ...]
     #: Shard registries folded together (shard 0..S−1 order).
@@ -64,7 +60,7 @@ class ClusterResult:
     events_executed: int
     #: Simulated seconds covered (== config.horizon).
     sim_time: float
-    #: Wall seconds for the round loop + finalize (pool spawn excluded).
+    #: Wall seconds for the round loop + finalize (shard setup excluded).
     wall_s: float
     #: Bus traffic by message kind over the whole run.
     messages_by_kind: dict = field(default_factory=dict)
@@ -133,7 +129,7 @@ class ClusterResult:
     def fingerprint(self) -> str:
         """sha256 over the canonical JSON of everything merged.
 
-        Two runs of the same ``(config, seed)`` — at any worker count —
+        Two runs of the same ``(config, seed)`` — at any shard count —
         must produce the same digest; the guard tests pin this.
         """
         doc = {
@@ -148,72 +144,56 @@ class ClusterResult:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def run_cluster(config: ClusterConfig, *, pool=None) -> ClusterResult:
-    """Run one cluster scenario to completion; see the module docstring.
-
-    ``pool`` reuses a caller-owned shard pool (it is reset to ``config``
-    first and left open afterwards) so back-to-back runs — benchmark
-    repeats, policy sweeps over one topology — pay worker spawn once.
-    Without it a pool is created and torn down internally.
-    """
-    external = pool is not None
-    if external:
-        workers = pool.workers
-        pool.reset(config)
-    else:
-        workers = min(resolve_workers(config.workers), config.shards)
-        pool = make_shard_pool(config, workers)
-    try:
-        t0 = _time.perf_counter()
-        pending: list[Message] = []
-        by_kind: dict[str, int] = {}
-        round_rows: list[tuple] = []
-        worst_err = 0.0
-        for r in range(config.rounds):
-            per_shard: dict[int, list[Message]] = {}
-            for msg in pending:
-                per_shard.setdefault(config.shard_of(msg.dst), []).append(msg)
-            results = pool.round(r, per_shard)
-            pending = []
-            rates: list[tuple[int, float]] = []
-            for sid in range(config.shards):
-                emitted, rows = results[sid]
-                pending.extend(emitted)
-                if rows is not None:
-                    rates.extend(rows)
-            for msg in pending:
-                by_kind[msg.kind] = by_kind.get(msg.kind, 0) + 1
-            if config.collect_round_stats:
-                rates.sort()
-                round_rows.append(tuple(rates))
-                in_flight = sum(
-                    m.get("amount") for m in pending if m.kind in _RATE_CARRIERS
-                )
-                total = sum(rate for _, rate in rates) + in_flight
-                worst_err = max(
-                    worst_err, abs(total - config.total_rate) / config.total_rate
-                )
-        shard_results = pool.finalize()
-        wall = _time.perf_counter() - t0
-    finally:
-        if not external:
-            pool.close()
+def run_cluster(config: ClusterConfig) -> ClusterResult:
+    """Run one cluster scenario to completion; see the module docstring."""
+    shards = [ShardRuntime(config, sid) for sid in range(config.shards)]
+    t0 = _time.perf_counter()
+    pending: list[Message] = []
+    by_kind: dict[str, int] = {}
+    round_rows: list[tuple] = []
+    worst_err = 0.0
+    for r in range(config.rounds):
+        per_shard: list[list[Message]] = [[] for _ in shards]
+        for msg in pending:
+            per_shard[config.shard_of(msg.dst)].append(msg)
+        pending = []
+        rates: list[tuple[int, float]] = []
+        for shard, inbound in zip(shards, per_shard):
+            emitted, rows = shard.advance_round(r, inbound)
+            pending.extend(emitted)
+            if rows is not None:
+                rates.extend(rows)
+        for msg in pending:
+            by_kind[msg.kind] = by_kind.get(msg.kind, 0) + 1
+        if config.collect_round_stats:
+            rates.sort()
+            round_rows.append(tuple(rates))
+            in_flight = sum(
+                m.get("amount") for m in pending if m.kind in _RATE_CARRIERS
+            )
+            total = sum(rate for _, rate in rates) + in_flight
+            worst_err = max(
+                worst_err, abs(total - config.total_rate) / config.total_rate
+            )
+    shard_results = [shard.finalize() for shard in shards]
+    wall = _time.perf_counter() - t0
 
     registry = Registry()
     reports: list[NodeReport] = []
     events = 0
     sim_time = 0.0
-    for sid in range(config.shards):
-        res = shard_results[sid]
+    for res in shard_results:
         registry.merge(res.registry)
         reports.extend(res.reports)
         events += res.events_executed
         sim_time = max(sim_time, res.sim_time)
     reports.sort(key=lambda rep: rep.node_id)
+    # The cluster-wide series, built from the merged per-node series so
+    # it cannot depend on how the nodes were partitioned.
+    registry.get("cluster.latency_s").aggregate(node="all")
 
     return ClusterResult(
         config=config,
-        workers=workers,
         reports=tuple(reports),
         registry=registry,
         events_executed=events,

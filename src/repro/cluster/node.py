@@ -12,7 +12,7 @@ config's latency SLO.
 Nodes never touch each other's state inside a shard — all cross-node
 coupling flows through the round-boundary message bus — so per-node
 outcomes depend only on ``(config, node_id)`` and the node's inbox,
-never on which shard or worker hosts it.
+never on which shard hosts it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ LATENCY_BUCKETS = tuple(0.01 * 1.5**i for i in range(28))
 
 @dataclass(frozen=True)
 class NodeReport:
-    """The picklable per-node outcome a shard ships back at finalize."""
+    """The per-node outcome a shard reports at finalize."""
 
     node_id: int
     demand_bytes: float
@@ -116,11 +116,10 @@ class NodeState:
         self.completions += 1
         if latency > self.config.slo_latency_s:
             self.violations += 1
-        # Two series per observation: the node's own (per-node tails,
-        # merged across shards by label) and the cluster-wide "all"
-        # series (global p99 without a second reduction pass).
+        # Per-node series only: the kernel builds the cluster-wide "all"
+        # series after the shard merge (summing here, in event order,
+        # would make its float sum depend on the shard layout).
         self._latency.observe(latency, node=self._label)
-        self._latency.observe(latency, node="all")
 
     # -- round protocol ---------------------------------------------------
 

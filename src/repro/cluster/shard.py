@@ -11,8 +11,8 @@ them through bounded-lag rounds::
 Nothing in a shard references another shard — node RNG streams are
 spawned for the *whole cluster* and indexed by node id, metrics are
 node-labelled in a private registry, and all coupling rides the returned
-message batch — so the same node partitioned differently (or hosted by a
-different worker process) produces bit-identical outcomes.
+message batch — so the same node partitioned differently produces
+bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = ["ShardRuntime", "ShardResult"]
 
 @dataclass(frozen=True)
 class ShardResult:
-    """The picklable outcome a shard ships home at finalize."""
+    """The outcome a shard hands the kernel at finalize."""
 
     shard_id: int
     reports: tuple[NodeReport, ...]
@@ -41,7 +41,7 @@ class ShardResult:
 
 
 class ShardRuntime:
-    """Live shard state (lives inside one worker for the whole run)."""
+    """Live shard state for one run (built and advanced by the kernel)."""
 
     def __init__(self, config, shard_id: int) -> None:
         self.config = config

@@ -409,7 +409,7 @@ class ScenarioSession:
         A :class:`~repro.cluster.ClusterConfig` describes ``n_nodes``
         token-governed nodes partitioned over shard simulations; each
         shard is its own event loop (one session-equivalent per node
-        group), advanced in bounded-lag rounds on a worker pool.  This is
+        group), advanced in-process in bounded-lag rounds.  This is
         the session-level entry point so scripts composing single-node
         sessions reach cluster scale from the same class; it simply
         defers to :func:`repro.cluster.run_cluster` (imported lazily —

@@ -52,9 +52,9 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
-#: Environment override capping every resolved worker count.  CI and the
-#: cluster runner set this to bound parallelism globally instead of
-#: threading a ``--workers`` flag through every CLI entry point.
+#: Environment override capping every resolved worker count.  CI sets
+#: this to bound parallelism globally instead of threading a
+#: ``--workers`` flag through every CLI entry point.
 WORKERS_ENV = "REPRO_WORKERS"
 
 

@@ -64,6 +64,8 @@ class ClusterCompareResult:
     shards: int
     rounds: int
     tenants_per_node: int
+    #: Always 1: shards run in-process.  Kept so exported results keep
+    #: their shape.
     workers: int
     seed: int
     rows: list[ClusterCompareRow] = field(default_factory=list)
@@ -101,7 +103,6 @@ def run_cluster_compare(
     tenants_per_node: int = 4,
     rounds: int = 40,
     seed: int = 0,
-    workers: int | str | None = None,
     policies: tuple = COMPARED_POLICIES,
 ) -> ClusterCompareResult:
     """Run the same seeded cluster once per arbitration policy."""
@@ -111,20 +112,17 @@ def run_cluster_compare(
         tenants_per_node=tenants_per_node,
         rounds=rounds,
         seed=seed,
-        workers=workers,
     )
     out = ClusterCompareResult(
         n_nodes=n_nodes,
         shards=shards,
         rounds=rounds,
         tenants_per_node=tenants_per_node,
-        workers=0,
+        workers=1,
         seed=seed,
     )
     for policy in policies:
-        result = run_cluster(base.with_(arbitration=policy))
-        out.workers = result.workers
-        out.rows.append(_score(result))
+        out.rows.append(_score(run_cluster(base.with_(arbitration=policy))))
     return out
 
 
@@ -147,7 +145,7 @@ def format_rows(result: ClusterCompareResult) -> str:
         title=(
             f"Cluster arbitration: {result.n_nodes} nodes x "
             f"{result.tenants_per_node} tenants, {result.shards} shards, "
-            f"{result.rounds} rounds (workers={result.workers})"
+            f"{result.rounds} rounds"
         ),
     )
     lines = [table, "", "bus traffic by kind:"]

@@ -15,6 +15,7 @@ the same series.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable
 
 __all__ = [
@@ -199,9 +200,12 @@ class Histogram(_Metric):
         """Fold another histogram in: the union of both observation sets.
 
         Bucket counts add element-wise and sum/count accumulate, so the
-        merged series is exactly what observing both processes' samples
-        into one histogram would have produced.  Requires identical
-        bucket bounds (merging mismatched layouts would silently corrupt
+        merged buckets and counts are exactly what observing both
+        processes' samples into one histogram would have produced.  The
+        float ``sum`` is not: it adds two partial sums, which can differ
+        in its last digits from summing every sample in one order (use
+        :meth:`aggregate` where that matters).  Requires identical bucket
+        bounds (merging mismatched layouts would silently corrupt
         percentile estimates).
         """
         if other.bounds != self.bounds:
@@ -219,6 +223,22 @@ class Histogram(_Metric):
                 mine[i] += c
             my_agg[0] += agg[0]
             my_agg[1] += agg[1]
+
+    def aggregate(self, **labels: object) -> None:
+        """Add a series under ``labels`` that pools every other series.
+
+        Bucket counts and counts add; ``sum`` is the :func:`math.fsum` of
+        the per-series sums, exactly rounded, so it does not depend on the
+        order in which the series were observed or merged.  No-op while
+        the histogram has no other series.
+        """
+        key = _label_key(labels)
+        parts = [entry for k, entry in self._series.items() if k != key]
+        if not parts:
+            return
+        counts = [sum(col) for col in zip(*(c for c, _ in parts))]
+        total = math.fsum(agg[0] for _, agg in parts)
+        self._series[key] = (counts, [total, sum(agg[1] for _, agg in parts)])
 
     def series(self) -> dict[LabelKey, dict]:
         out: dict[LabelKey, dict] = {}

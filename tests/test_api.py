@@ -225,6 +225,39 @@ def _core_package_reexport(name):
     return lookup
 
 
+def _cluster_config_workers():
+    from repro.cluster import ClusterConfig
+
+    ClusterConfig(workers=2)
+
+
+def _run_cluster_pool():
+    from repro.cluster import ClusterConfig, run_cluster
+
+    run_cluster(ClusterConfig(n_nodes=2, shards=1, rounds=1), pool=None)
+
+
+def _run_cluster_compare_workers():
+    from repro.experiments.cluster import run_cluster_compare
+
+    run_cluster_compare(n_nodes=2, shards=1, rounds=1, workers=1)
+
+
+def _cli_cluster_workers():
+    from repro.cli import build_parser
+
+    build_parser().parse_args(["cluster", "--workers", "2"])
+
+
+def _cluster_package_attr(name):
+    def lookup():
+        import repro.cluster as cluster
+
+        getattr(cluster, name)
+
+    return lookup
+
+
 _REMOVED = [
     ("ScenarioConfig(ladder_bounds=)", _scenario_ladder_bounds, TypeError),
     ("CampaignConfig(ladder_bounds=)", _campaign_ladder_bounds, TypeError),
@@ -243,6 +276,14 @@ _REMOVED = [
     *[
         (f"core.{name}", _core_package_reexport(name), AttributeError)
         for name in ("TangoController", "BaseController", "AdaptationDecision")
+    ],
+    ("ClusterConfig(workers=)", _cluster_config_workers, TypeError),
+    ("run_cluster(pool=)", _run_cluster_pool, TypeError),
+    ("run_cluster_compare(workers=)", _run_cluster_compare_workers, TypeError),
+    ("repro cluster --workers", _cli_cluster_workers, SystemExit),
+    *[
+        (f"cluster.{name}", _cluster_package_attr(name), AttributeError)
+        for name in ("ShardPool", "make_shard_pool")
     ],
 ]
 

@@ -1,8 +1,7 @@
-"""Tests for repro.cluster: bus, config, arbitration, pool, kernel.
+"""Tests for repro.cluster: bus, config, arbitration, kernel.
 
-Everything here runs serial (``workers=None`` → in-process shards) and
-small — the determinism-vs-worker-count property tests, which do spawn
-processes, live in ``test_cluster_guard.py``.
+Everything here is small — the shard-count invariance guard and the
+pinned fingerprints live in ``test_cluster_guard.py``.
 """
 
 import math
@@ -15,11 +14,8 @@ from repro.cluster import (
     ClusterConfig,
     Message,
     Outbox,
-    SerialShardPool,
-    ShardPool,
     ArbitrationPolicy,
     jain_index,
-    make_shard_pool,
     register_arbitration,
     route,
     run_cluster,
@@ -165,7 +161,6 @@ class TestRunClusterSerial:
     def test_result_invariants(self, policy):
         cfg = _tiny(arbitration=policy)
         res = run_cluster(cfg)
-        assert res.workers == 1
         assert res.sim_time == pytest.approx(cfg.horizon)
         assert res.events_executed > 0
         assert [r.node_id for r in res.reports] == list(range(cfg.n_nodes))
@@ -212,53 +207,10 @@ class TestRunClusterSerial:
         assert res.events_executed > 0
 
 
-class TestShardPools:
-    def test_factory_picks_serial_at_one(self):
-        cfg = _tiny()
-        pool = make_shard_pool(cfg, 1)
-        try:
-            assert isinstance(pool, SerialShardPool)
-            assert pool.workers == 1
-        finally:
-            pool.close()
-
-    def test_serial_reset_rejects_shard_mismatch(self):
-        pool = SerialShardPool(_tiny())
-        try:
-            with pytest.raises(ValueError, match="shards"):
-                pool.reset(_tiny(shards=1))
-        finally:
-            pool.close()
-
-    def test_warm_pool_reuse_across_runs(self):
-        # One pool, three runs: a repeat (identical fingerprint), then a
-        # different policy on the same topology (different fingerprint).
-        cfg = _tiny()
-        pool = make_shard_pool(cfg, 1)
-        try:
-            first = run_cluster(cfg, pool=pool)
-            second = run_cluster(cfg, pool=pool)
-            assert first.fingerprint() == second.fingerprint()
-            other = run_cluster(cfg.with_(arbitration="adaptbf"), pool=pool)
-            assert other.fingerprint() != first.fingerprint()
-        finally:
-            pool.close()
-
-    def test_process_pool_reset_rejects_shard_mismatch(self):
-        cfg = _tiny()
-        pool = ShardPool(cfg, 2)
-        try:
-            assert pool.workers == 2
-            with pytest.raises(ValueError, match="shards"):
-                pool.reset(cfg.with_(shards=1, n_nodes=8))
-        finally:
-            pool.close()
-
-
 class TestClusterCompare:
     def test_compare_scores_both_policies(self):
         res = run_cluster_compare(
-            n_nodes=8, shards=2, tenants_per_node=2, rounds=8, seed=1, workers=1
+            n_nodes=8, shards=2, tenants_per_node=2, rounds=8, seed=1
         )
         assert [row.policy for row in res.rows] == ["centralized", "adaptbf"]
         central, adapt = res.rows

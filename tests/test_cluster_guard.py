@@ -2,13 +2,12 @@
 
 Two properties the whole ``repro.cluster`` design exists to uphold:
 
-* **Worker-count invariance** — a seeded cluster run produces
-  byte-identical merged metrics and SLO boards whether the shards run
-  serially in-process (``workers=1``) or on a spawn pool
-  (``workers=4``), at every shard count.  The fingerprint covers the
-  merged metrics snapshot, the SLO board, bus traffic by kind, event
-  counts, and the per-round rate timeline, so any scheduling leak —
-  delivery order, merge order, RNG placement — trips it.
+* **Shard-count invariance** — a seeded cluster run produces
+  byte-identical merged metrics and SLO boards whether its nodes are
+  split over 1, 2, 4 or 8 shards.  The fingerprint covers the merged
+  metrics snapshot, the SLO board, bus traffic by kind, event counts,
+  and the per-round rate timeline, so any partition leak — delivery
+  order, merge order, RNG placement, float summation order — trips it.
 
 * **Pinned 1-shard parity** — a 1-shard cluster is just a plain
   :class:`~repro.simkernel.Simulation` hosting every node, so its
@@ -26,18 +25,18 @@ explain the behaviour change in the commit that moves them.
 
 import pytest
 
-from repro.cluster import ClusterConfig, make_shard_pool, run_cluster
+from repro.cluster import ClusterConfig, run_cluster
 
 #: The pinned 1-shard scenario: every node on one plain Simulation.
 PARITY_CONFIG = ClusterConfig(
     n_nodes=8, shards=1, tenants_per_node=2, rounds=10, seed=7
 )
 PARITY_FINGERPRINT = (
-    "02093043c49915c141dc88cc7ceccbe80bff64bee5825599ca9644c20834a6fc"
+    "863c9de99ec4875095bd8bd8d7e63b8927773bb5b5322922c528aca6926b34f5"
 )
 #: Same scenario under decentralized token borrowing.
 PARITY_FINGERPRINT_ADAPTBF = (
-    "486a486fe8ac13234ee7f6620c2b7eeed96ea925714076a8cab0edb0e6bc22c6"
+    "630c0f90770fd1e9742849e56bbcffedb47a1aa7ea9e39da21330f240d7b7b67"
 )
 
 
@@ -50,46 +49,33 @@ class TestPinnedParity:
         assert run_cluster(cfg).fingerprint() == PARITY_FINGERPRINT_ADAPTBF
 
 
-class TestWorkerCountInvariance:
-    """workers=1 vs workers=4 must be byte-identical, per shard count.
+class TestShardCountInvariance:
+    """Shards 2, 4 and 8 must be byte-identical to the 1-shard run.
 
-    One warm process pool per shard count carries both policies (also
-    exercising pool reuse on the parallel path); the serial arm rebuilds
-    from scratch each run.  ``REPRO_WORKERS`` is cleared so an
-    environment cap cannot quietly turn the parallel arm serial.
+    Shards are a data partition of one seeded cluster: node RNG streams,
+    message delivery order and the merged metrics (including the
+    cluster-wide ``node="all"`` latency series) must not depend on how
+    many shards the nodes are split over.  8 nodes at 8 shards puts one
+    node on every shard, the most cross-shard traffic this size allows.
     """
 
     POLICIES = ("centralized", "adaptbf")
 
-    @pytest.fixture(autouse=True)
-    def _no_env_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_fingerprint_matches_serial(self, shards):
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_matches_one_shard(self, shards):
         base = ClusterConfig(
-            n_nodes=8, shards=shards, tenants_per_node=2, rounds=6, seed=11
+            n_nodes=8, shards=1, tenants_per_node=2, rounds=6, seed=11
         )
-        # Not capped by CPU count: oversubscribed spawn workers still
-        # must produce identical bytes, that is the point of the guard.
-        workers = min(4, shards)
-        pool = make_shard_pool(base, workers) if workers > 1 else None
-        try:
-            for policy in self.POLICIES:
-                cfg = base.with_(arbitration=policy)
-                serial = run_cluster(cfg.with_(workers=1))
-                parallel = (
-                    run_cluster(cfg, pool=pool) if pool is not None else run_cluster(cfg)
-                )
-                assert serial.fingerprint() == parallel.fingerprint(), (
-                    f"{policy} fingerprint differs at shards={shards} "
-                    f"between workers=1 and workers={workers}"
-                )
-                # The board and reports are covered by the fingerprint;
-                # compare them directly too so a failure names the field.
-                assert serial.slo_board() == parallel.slo_board()
-                assert serial.reports == parallel.reports
-                assert serial.messages_by_kind == parallel.messages_by_kind
-        finally:
-            if pool is not None:
-                pool.close()
+        for policy in self.POLICIES:
+            cfg = base.with_(arbitration=policy)
+            reference = run_cluster(cfg)
+            sharded = run_cluster(cfg.with_(shards=shards))
+            assert sharded.fingerprint() == reference.fingerprint(), (
+                f"{policy} fingerprint differs between shards=1 and "
+                f"shards={shards}"
+            )
+            # The board and reports are covered by the fingerprint;
+            # compare them directly too so a failure names the field.
+            assert sharded.slo_board() == reference.slo_board()
+            assert sharded.reports == reference.reports
+            assert sharded.messages_by_kind == reference.messages_by_kind

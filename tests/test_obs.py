@@ -165,6 +165,34 @@ class TestMerge:
         assert series["buckets"]["10.0"] == 3
         assert series["buckets"]["+Inf"] == 4
 
+    def test_histogram_aggregate_pools_every_series(self):
+        h = Histogram("h", buckets=(1.0, 10.0))
+        one = Histogram("h", buckets=(1.0, 10.0))
+        for node, v in (("a", 0.5), ("b", 5.0), ("a", 50.0), ("c", 0.7)):
+            h.observe(v, node=node)
+            one.observe(v)
+        h.aggregate(node="all")
+        h.aggregate(node="all")  # rebuilt from the others, not doubled
+        pooled = h.series()[(("node", "all"),)]
+        assert pooled["buckets"] == one.series()[()]["buckets"]
+        assert pooled["count"] == 4
+        assert h.quantile(0.5, node="all") == one.quantile(0.5)
+
+    def test_histogram_aggregate_sum_is_exactly_rounded(self):
+        # Left to right, 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001;
+        # the pooled sum is the exactly rounded 0.6 whatever the split.
+        h = Histogram("h", buckets=(1.0,))
+        for node, v in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+            h.observe(v, node=node)
+        h.aggregate(node="all")
+        assert 0.1 + 0.2 + 0.3 != 0.6
+        assert h.sum(node="all") == 0.6
+
+    def test_histogram_aggregate_empty_is_noop(self):
+        h = Histogram("h", buckets=(1.0,))
+        h.aggregate(node="all")
+        assert h.series() == {}
+
     def test_histogram_bounds_mismatch_rejected(self):
         a = Histogram("h", buckets=(1.0,))
         b = Histogram("h", buckets=(2.0,))
