@@ -9,7 +9,7 @@ from repro.experiments.fig16 import run_fig16
 
 def test_fig16(benchmark, emit):
     res = benchmark.pedantic(
-        lambda: run_fig16(node_counts=(1, 2, 4), max_steps=40, workers=4),
+        lambda: run_fig16(node_counts=(1, 2, 4), max_steps=40),
         rounds=1,
         iterations=1,
     )

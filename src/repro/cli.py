@@ -4,6 +4,7 @@ Examples::
 
     python -m repro scenario --app xgc --policy cross-layer --steps 30
     python -m repro figure fig08 --fast
+    python -m repro figure all --workers 2
     python -m repro figure headline
     python -m repro cluster --nodes 32 --arbitration adaptbf
     python -m repro tables
@@ -47,7 +48,7 @@ def _fig07(fast: bool, workers=1):
 def _fig08(fast: bool, workers=1):
     from repro.experiments.fig08 import run_fig08
 
-    return run_fig08(replications=1 if fast else 3, max_steps=30 if fast else 60, workers=workers)
+    return run_fig08(replications=1 if fast else 3, max_steps=30 if fast else 60)
 
 
 def _fig09(fast: bool, workers=1):
@@ -59,7 +60,7 @@ def _fig09(fast: bool, workers=1):
 def _fig10(fast: bool, workers=1):
     from repro.experiments.fig10 import run_fig10
 
-    return run_fig10(replications=1 if fast else 2, max_steps=30 if fast else 50, workers=workers)
+    return run_fig10(replications=1 if fast else 2, max_steps=30 if fast else 50)
 
 
 def _fig11(fast: bool, workers=1):
@@ -75,20 +76,19 @@ def _fig12(fast: bool, workers=1):
         replications=1 if fast else 3,
         max_steps=25 if fast else 50,
         noise_counts=(1, 3, 6) if fast else (1, 2, 3, 4, 5, 6),
-        workers=workers,
     )
 
 
 def _fig13(fast: bool, workers=1):
     from repro.experiments.fig13 import run_fig13
 
-    return run_fig13(replications=1 if fast else 3, max_steps=25 if fast else 60, workers=workers)
+    return run_fig13(replications=1 if fast else 3, max_steps=25 if fast else 60)
 
 
 def _fig14(fast: bool, workers=1):
     from repro.experiments.fig14 import run_fig14
 
-    return run_fig14(replications=1 if fast else 3, max_steps=25 if fast else 60, workers=workers)
+    return run_fig14(replications=1 if fast else 3, max_steps=25 if fast else 60)
 
 
 def _fig15(fast: bool, workers=1):
@@ -100,10 +100,7 @@ def _fig15(fast: bool, workers=1):
 def _fig16(fast: bool, workers=1):
     from repro.experiments.fig16 import run_fig16
 
-    return run_fig16(
-        node_counts=(1, 2) if fast else (1, 2, 4),
-        workers=workers,
-    )
+    return run_fig16(node_counts=(1, 2) if fast else (1, 2, 4))
 
 
 def _headline(fast: bool, workers=1):
@@ -143,7 +140,7 @@ def _resilience(fast: bool, workers=1):
 def _stability(fast: bool, workers=1):
     from repro.experiments.stability import run_stability
 
-    return run_stability(max_steps=16 if fast else 40, workers=workers)
+    return run_stability(max_steps=16 if fast else 40)
 
 
 def _qosplane(fast: bool, workers=1):
@@ -164,8 +161,8 @@ def _cluster(fast: bool, workers=1):
 
 
 #: Regenerable paper artifacts: name -> callable(fast, workers=1).
-#: ``workers`` fans grid sweeps out over a SweepExecutor process pool
-#: where the underlying figure supports it; the rest ignore it.
+#: Each artifact runs serially and ignores ``workers``; ``repro figure
+#: all --workers N`` runs whole artifacts in parallel instead.
 FIGURES: dict[str, Callable[..., object]] = {
     "fig01": _fig01,
     "fig02": _fig02,
@@ -272,16 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_args(sc)
 
-    fig = sub.add_parser("figure", help="regenerate one paper figure/table")
-    fig.add_argument("name", choices=sorted(FIGURES))
+    fig = sub.add_parser(
+        "figure", help="regenerate one paper figure/table, or all of them"
+    )
+    fig.add_argument("name", choices=["all", *sorted(FIGURES)])
     fig.add_argument("--fast", action="store_true", help="reduced-scale run")
     fig.add_argument("--out", metavar="PATH", help="also write the rows to a file")
     fig.add_argument(
         "--workers",
         default="1",
         metavar="N",
-        help="process-pool size for grid sweeps ('auto' = all CPUs; "
-        "figures without a sweep ignore it)",
+        help="process-pool size over whole artifacts for 'all' "
+        "('auto' = all CPUs); one artifact always runs serially",
     )
     _add_obs_args(fig)
 
@@ -308,13 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     st.add_argument("--steps", type=int, default=40)
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument(
-        "--workers",
-        default="1",
-        metavar="N",
-        help="process-pool size for the (controller x input) grid "
-        "('auto' = all CPUs)",
-    )
     st.add_argument("--json", action="store_true", help="print a JSON summary")
     _add_obs_args(st)
 
@@ -339,13 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("name", choices=sorted(FIGURES))
     exp.add_argument("path", help="output JSON file")
     exp.add_argument("--fast", action="store_true", help="reduced-scale run")
-    exp.add_argument(
-        "--workers",
-        default="1",
-        metavar="N",
-        help="process-pool size for grid sweeps ('auto' = all CPUs; "
-        "figures without a sweep ignore it)",
-    )
 
     cl = sub.add_parser(
         "cluster",
@@ -432,14 +417,25 @@ def _parse_workers(raw: str):
     return raw if raw == "auto" else int(raw)
 
 
+def _artifact_rows(job: tuple[str, bool]) -> str:
+    """One artifact's table; module-level so the artifact pool can pickle it."""
+    name, fast = job
+    return FIGURES[name](fast).format_rows()
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.engine.sweep import SweepExecutor
+
+    names = list(FIGURES) if args.name == "all" else [args.name]
     obs_on = _obs_begin(args)
     try:
-        result = FIGURES[args.name](args.fast, workers=_parse_workers(args.workers))
+        tables = SweepExecutor(_parse_workers(args.workers)).map(
+            _artifact_rows, [(name, args.fast) for name in names]
+        )
     finally:
         if obs_on:
             _obs_finish(args)
-    text = result.format_rows()
+    text = "\n".join(tables)
     print(text)
     if args.out:
         with open(args.out, "w") as f:
@@ -475,7 +471,6 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             inputs=inputs,
             max_steps=args.steps,
             seed=args.seed,
-            workers=_parse_workers(args.workers),
         )
     finally:
         if obs_on:
@@ -550,7 +545,7 @@ def _cmd_iobench(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.experiments.export import export_figure
 
-    export_figure(args.name, args.path, fast=args.fast, workers=_parse_workers(args.workers))
+    export_figure(args.name, args.path, fast=args.fast)
     print(f"JSON plot data written to {args.path}", file=sys.stderr)
     return 0
 

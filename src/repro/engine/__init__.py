@@ -8,8 +8,8 @@
   presets, placements, apps);
 * :mod:`repro.engine.session` — :class:`ScenarioSession`, the builder
   that composes one simulated node from a config and owns the run loop;
-* :mod:`repro.engine.sweep` — :class:`SweepExecutor`, process-pool
-  fan-out over config grids with a bit-identical serial fallback;
+* :mod:`repro.engine.sweep` — ``run_summaries`` for config grids and
+  :class:`SweepExecutor`, the one process pool (over whole artifacts);
 * :mod:`repro.engine.memo` — the decomposition/ladder memo cache.
 
 This package ``__init__`` stays import-light (registries only): built-in

@@ -12,8 +12,9 @@ Sharing is safe because both halves are effectively immutable: the
 ladder's construction is deterministic and nothing in the run path
 writes to it, and the cached field array is marked read-only so any
 accidental in-place mutation (which would silently corrupt later cache
-hits) raises instead.  The cache is per-process: parallel sweep workers
-each warm their own.
+hits) raises instead.  The cache is per-process: each worker of a
+``repro figure all --workers N`` pool starts from the memo it forked
+with and warms its own.
 
 An entry is a :class:`LadderEntry`: besides the pair it scores analysis
 outcomes against the field.  An outcome error is a pure function of

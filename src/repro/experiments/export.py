@@ -52,9 +52,7 @@ def export_result(result: Any, path: str) -> dict:
     return data
 
 
-def export_figure(
-    name: str, path: str, *, fast: bool = True, workers: int | str | None = 1
-) -> dict:
+def export_figure(name: str, path: str, *, fast: bool = True) -> dict:
     """Run a registered artifact (see :data:`repro.cli.FIGURES`) and export it."""
     from repro.cli import FIGURES
 
@@ -62,4 +60,4 @@ def export_figure(
         runner = FIGURES[name]
     except KeyError:
         raise ValueError(f"unknown figure {name!r}; expected one of {sorted(FIGURES)}")
-    return export_result(runner(fast, workers=workers), path)
+    return export_result(runner(fast), path)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.apps import ALL_APPS
 from repro.core.controller import POLICY_NAMES
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -76,13 +76,8 @@ def run_policy_grid(
     base_config: ScenarioConfig | None = None,
     replications: int = 3,
     max_steps: int = 60,
-    workers: int | str | None = 1,
 ) -> Fig8Result:
-    """Run the (app × policy) grid with seeded replications.
-
-    ``workers`` fans the grid out over a process pool (``"auto"`` = all
-    CPUs); results are identical to the serial default.
-    """
+    """Run the (app × policy) grid with seeded replications."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     base = base_config if base_config is not None else ScenarioConfig()
@@ -98,7 +93,7 @@ def run_policy_grid(
         for app, policy in cells
         for rep in range(replications)
     ]
-    summaries = SweepExecutor(workers).run_scenarios(configs, outcome_error=True)
+    summaries = run_summaries(configs, outcome_error=True)
     rows: list[PolicyAppResult] = []
     for i, (app, policy) in enumerate(cells):
         chunk = summaries[i * replications : (i + 1) * replications]
@@ -122,7 +117,6 @@ def run_fig08(
     replications: int = 3,
     max_steps: int = 60,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig8Result:
     """The Fig. 8 grid: all policies × all apps, no error control."""
     base = ScenarioConfig(seed=seed)
@@ -132,5 +126,4 @@ def run_fig08(
         base_config=base,
         replications=replications,
         max_steps=max_steps,
-        workers=workers,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.apps import ALL_APPS, make_app
 from repro.core.refactor import decompose, levels_for_decimation, reconstruct_base_only
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_scenario
@@ -142,7 +142,6 @@ def run_fig10(
     replications: int = 2,
     max_steps: int = 60,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig10Result:
     """Quality comparison: cross-layer vs app-only vs no augmentation."""
     cells = [(app_name, policy) for app_name in apps for policy in POLICIES]
@@ -160,7 +159,7 @@ def run_fig10(
         for app_name, policy in cells
         for rep in range(replications)
     ]
-    summaries = SweepExecutor(workers).run_scenarios(configs, outcome_error=True)
+    summaries = run_summaries(configs, outcome_error=True)
 
     rows: list[Fig10Row] = []
     for app_name in apps:

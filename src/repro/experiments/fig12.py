@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.workloads.noise import TABLE_IV_NOISE
@@ -64,7 +64,6 @@ def run_fig12(
     replications: int = 3,
     max_steps: int = 60,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig12Result:
     """The noise-intensity sweep."""
     for count in noise_counts:
@@ -83,7 +82,7 @@ def run_fig12(
         for policy, count in cells
         for rep in range(replications)
     ]
-    summaries = SweepExecutor(workers).run_scenarios(configs)
+    summaries = run_summaries(configs)
     rows: list[Fig12Row] = []
     for i, (policy, count) in enumerate(cells):
         chunk = summaries[i * replications : (i + 1) * replications]

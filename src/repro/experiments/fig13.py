@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -61,7 +61,6 @@ def run_fig13(
     replications: int = 3,
     max_steps: int = 60,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig13Result:
     """Run each weight-function variant.
 
@@ -86,7 +85,7 @@ def run_fig13(
         for _, policy, use_priority, use_accuracy in VARIANTS
         for rep in range(replications)
     ]
-    summaries = SweepExecutor(workers).run_scenarios(configs)
+    summaries = run_summaries(configs)
     rows: list[Fig13Row] = []
     for i, (label, _, _, _) in enumerate(VARIANTS):
         chunk = summaries[i * replications : (i + 1) * replications]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -57,7 +57,6 @@ def run_fig14(
     replications: int = 3,
     max_steps: int = 60,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig14Result:
     """Both sweeps of Fig. 14 under the cross-layer policy."""
     cells = [("priority", p, 0.01, p) for p in PRIORITIES]
@@ -79,7 +78,7 @@ def run_fig14(
         for _, _, bound, priority in cells
         for rep in range(replications)
     ]
-    summaries = SweepExecutor(workers).run_scenarios(configs)
+    summaries = run_summaries(configs)
     rows: list[Fig14Row] = []
     for i, (sweep, value, _, _) in enumerate(cells):
         chunk = summaries[i * replications : (i + 1) * replications]

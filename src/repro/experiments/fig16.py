@@ -2,10 +2,9 @@
 
 Tango's recomposition is embarrassingly parallel: each node holds its own
 ephemeral storage and adapts independently, with no communication.  Weak
-scaling therefore runs one independent single-node scenario per node (in
-separate OS processes when ``workers`` allows, mirroring the paper's
-4-node Chameleon run) and reports the mean I/O time across nodes —
-expected to stay flat.
+scaling therefore runs one independent single-node scenario per node
+(the paper's 4-node Chameleon run) and reports the mean I/O time across
+nodes — expected to stay flat.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor, resolve_workers
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -22,7 +20,7 @@ __all__ = ["Fig16Result", "run_fig16", "run_node"]
 
 
 def run_node(args: tuple[int, int, int]) -> tuple[float, float]:
-    """Run one node's scenario; module-level so it pickles for mp.Pool."""
+    """Run one node's scenario: ``(node_index, seed, max_steps)`` → (mean, std)."""
     node_index, seed, max_steps = args
     from repro.experiments.runner import run_scenario
 
@@ -67,35 +65,21 @@ def run_fig16(
     node_counts: tuple[int, ...] = (1, 2, 4),
     max_steps: int = 40,
     seed: int = 0,
-    workers: int | str | None = 1,
 ) -> Fig16Result:
     """Weak scaling: per node count, average the per-node mean I/O times.
 
-    Each row of ``n`` nodes runs on a pool of ``min(n, workers)``
-    processes (``workers`` as in :func:`~repro.engine.sweep.resolve_workers`;
-    the default 1 runs every node in-process).  Results are identical at
-    any worker count because nodes share no state.
-
     Every node count evaluates the *same* set of per-node scenarios
-    (seeds ``seed … seed + max(node_counts) − 1``), executed in batches of
-    ``n`` concurrent nodes — the weak-scaling question is whether adding
-    nodes changes per-node I/O time, so the workload per node must be
-    held fixed.
+    (seeds ``seed … seed + max(node_counts) − 1``): the weak-scaling
+    question is whether adding nodes changes per-node I/O time, so the
+    workload per node must be held fixed.  Nodes share no state, so each
+    node's scenario runs once and every row averages that one list.
     """
-    total = max(node_counts)
-    width = resolve_workers(workers)
-    rows: list[Fig16Row] = []
-    for n in node_counts:
-        jobs = [(i, seed, max_steps) for i in range(total)]
-        executor = SweepExecutor(workers=min(n, width), chunksize=max(1, total // n))
-        results = executor.map(run_node, jobs)
-        means = [m for m, _ in results]
-        stds = [s for _, s in results]
-        rows.append(
-            Fig16Row(
-                nodes=n,
-                mean_io_time=float(np.mean(means)),
-                std_io_time=float(np.mean(stds)),
-            )
+    results = [run_node((i, seed, max_steps)) for i in range(max(node_counts))]
+    mean_io_time = float(np.mean([m for m, _ in results]))
+    std_io_time = float(np.mean([s for _, s in results]))
+    return Fig16Result(
+        rows=tuple(
+            Fig16Row(nodes=n, mean_io_time=mean_io_time, std_io_time=std_io_time)
+            for n in node_counts
         )
-    return Fig16Result(rows=tuple(rows))
+    )

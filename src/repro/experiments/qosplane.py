@@ -30,7 +30,7 @@ from repro.dataplane import QosPolicy, SloTarget
 from repro.engine.session import ScenarioSession
 from repro.experiments.config import PRIORITY_HIGH, PRIORITY_LOW, ScenarioConfig
 from repro.experiments.report import format_table
-from repro.obs import OBS, enabled_scope
+from repro.obs import OBS, enabled_scope, private_registry
 from repro.util.units import MiB, mb_per_s
 
 __all__ = ["QosPlaneRow", "QosPlaneResult", "run_qosplane", "format_rows"]
@@ -104,29 +104,18 @@ class QosPlaneResult:
         return format_rows(self)
 
 
-def _counter_state() -> dict[str, dict]:
-    """Current absolute values of every ``dataplane.*`` counter series."""
-    reg = OBS.registry
-    state: dict[str, dict] = {}
+def _stage_counters(reg) -> dict[str, dict[str, float]]:
+    """Every non-zero ``dataplane.*`` counter series, with readable label keys."""
+    counters: dict[str, dict[str, float]] = {}
     for name in reg.names():
-        if name.startswith("dataplane."):
-            metric = reg.get(name)
-            if metric.kind == "counter":
-                state[name] = dict(metric.series())
-    return state
-
-
-def _counter_delta(before: dict, after: dict) -> dict[str, dict[str, float]]:
-    """Per-series growth between two states, with readable label keys."""
-    delta: dict[str, dict[str, float]] = {}
-    for name, series in after.items():
-        prior = before.get(name, {})
-        for key, value in series.items():
-            grown = value - prior.get(key, 0.0)
-            if grown:
+        metric = reg.get(name)
+        if not name.startswith("dataplane.") or metric.kind != "counter":
+            continue
+        for key, value in metric.series().items():
+            if value:
                 label = ",".join(f"{k}={v}" for k, v in key) or "total"
-                delta.setdefault(name, {})[label] = grown
-    return delta
+                counters.setdefault(name, {})[label] = value
+    return counters
 
 
 def _run_one(
@@ -148,9 +137,10 @@ def _run_one(
     )
     # Per-stage decision counters are part of this figure's output, so
     # the run collects them regardless of the ambient OBS state (the
-    # scope restores it; deltas keep an outer --metrics-out run honest).
-    with enabled_scope():
-        before = _counter_state()
+    # scope restores it), into its own registry so that they do not
+    # depend on what ran earlier in the process.
+    outer_enabled = OBS.enabled
+    with enabled_scope(), private_registry() as registry:
         session = ScenarioSession(config)
         session.launch_noise()
         for name, priority in (("prod", PRIORITY_HIGH), ("batch", PRIORITY_LOW)):
@@ -159,7 +149,9 @@ def _run_one(
             controller = session.build_controller(ladder, priority=priority)
             session.add_analytics(name, dataset, controller)
         session.run(chunk=None)
-        result.stage_counters[scenario] = _counter_delta(before, _counter_state())
+    if outer_enabled:
+        OBS.registry.merge(registry)
+    result.stage_counters[scenario] = _stage_counters(registry)
 
     board = session.dataplane.slo
     result.slo[scenario] = board.report()

@@ -17,9 +17,7 @@ its *prediction trace* is scored like a step response:
 * **SLO violations** — steps whose I/O time exceeded half the analytics
   period, the scenario's implicit deadline.
 
-Cells are independent scenario runs, so the suite fans out over a
-:class:`~repro.engine.sweep.SweepExecutor` process pool; values are
-identical serial or parallel.
+Cells are independent scenario runs and execute in order, in-process.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_scenario
@@ -153,7 +150,7 @@ def _score_trace(
 
 
 def _stability_cell(item: tuple[str, str, ScenarioConfig]) -> StabilityRow:
-    """One suite cell; module-level so process pools can pickle it."""
+    """One suite cell: run the scenario and score its prediction trace."""
     controller, reference, cfg = item
     res = run_scenario(cfg)
     settling_s, overshoot, ss_error = _score_trace(
@@ -183,7 +180,6 @@ def run_stability(
     inputs: tuple[str, ...] = ("step", "ramp", "osc"),
     max_steps: int = 40,
     seed: int = 0,
-    workers: int = 1,
 ) -> StabilityResult:
     """Score each controller's response to each reference input.
 
@@ -203,8 +199,7 @@ def run_stability(
         for ctrl in controllers
         for ref in inputs
     ]
-    with SweepExecutor(workers) as ex:
-        rows = ex.map(_stability_cell, items)
+    rows = [_stability_cell(item) for item in items]
 
     if OBS.enabled:
         reg = OBS.registry

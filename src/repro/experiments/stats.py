@@ -2,10 +2,9 @@
 
 The simulator is deterministic per seed; statistical claims come from
 replicating a scenario over independent seeds.  ``replicate`` runs the
-sweep (optionally fanned out over a :class:`SweepExecutor` process pool)
-and summarises any per-run metric with mean, std, standard error, and a
-t-based 95 % confidence interval — the numbers behind every "A beats B"
-statement in EXPERIMENTS.md.
+sweep and summarises any per-run metric with mean, std, standard error,
+and a t-based 95 % confidence interval — the numbers behind every
+"A beats B" statement in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from repro.engine.sweep import ScenarioSummary, SweepExecutor
+from repro.engine.sweep import ScenarioSummary, run_summaries
 from repro.experiments.config import ScenarioConfig
 
 __all__ = ["ReplicationStats", "replicate", "compare"]
@@ -61,21 +60,17 @@ def replicate(
     seeds: Sequence[int],
     metric: Callable[[ScenarioSummary], float] = lambda r: r.mean_io_time,
     *,
-    executor: SweepExecutor | None = None,
     outcome_error: bool = False,
 ) -> ReplicationStats:
     """Run ``config`` once per seed and summarise ``metric``.
 
-    ``metric`` receives the run's :class:`ScenarioSummary` (a full result
-    cannot cross the process boundary); it is applied parent-side, so it
-    may be any callable.  ``executor`` fans the seeds out over a process
-    pool (serial by default, identical values either way); set
+    ``metric`` receives the run's :class:`ScenarioSummary`, so the sweep
+    never holds more than one full result at a time; set
     ``outcome_error=True`` when the metric reads ``mean_outcome_error``.
     """
     if not seeds:
         raise ValueError("at least one seed is required")
-    ex = executor if executor is not None else SweepExecutor()
-    summaries = ex.run_scenarios(
+    summaries = run_summaries(
         [config.with_(seed=s) for s in seeds], outcome_error=outcome_error
     )
     return ReplicationStats(values=tuple(float(metric(s)) for s in summaries))
@@ -87,7 +82,6 @@ def compare(
     seeds: Sequence[int],
     metric: Callable[[ScenarioSummary], float] = lambda r: r.mean_io_time,
     *,
-    executor: SweepExecutor | None = None,
     outcome_error: bool = False,
 ) -> dict[str, float]:
     """Paired seed-by-seed comparison of two configurations.
@@ -98,8 +92,8 @@ def compare(
     (fraction of seeds where a's metric is lower), and the paired t-test
     p-value.
     """
-    a = replicate(config_a, seeds, metric, executor=executor, outcome_error=outcome_error)
-    b = replicate(config_b, seeds, metric, executor=executor, outcome_error=outcome_error)
+    a = replicate(config_a, seeds, metric, outcome_error=outcome_error)
+    b = replicate(config_b, seeds, metric, outcome_error=outcome_error)
     diffs = np.asarray(a.values) - np.asarray(b.values)
     if len(seeds) > 1 and diffs.std(ddof=1) > 0:
         _, p_value = _scipy_stats.ttest_rel(a.values, b.values)

@@ -41,6 +41,7 @@ __all__ = [
     "disable",
     "is_enabled",
     "enabled_scope",
+    "private_registry",
     "Registry",
     "Counter",
     "Gauge",
@@ -117,3 +118,19 @@ def enabled_scope(*, clock: Any = None, capacity: int | None = None) -> Iterator
         yield OBS
     finally:
         OBS.enabled = prior
+
+
+@contextmanager
+def private_registry() -> Iterator[Registry]:
+    """Record metrics into a fresh, empty registry for a block.
+
+    The prior registry is restored on exit and left untouched; the
+    caller decides whether to :meth:`~Registry.merge` the block's
+    registry into it.  A value read from the block's registry therefore
+    does not depend on what ran earlier in the process.
+    """
+    prior, OBS.registry = OBS.registry, Registry()
+    try:
+        yield OBS.registry
+    finally:
+        OBS.registry = prior

@@ -249,6 +249,52 @@ def _cli_cluster_workers():
     build_parser().parse_args(["cluster", "--workers", "2"])
 
 
+def _run_fig08_workers():
+    from repro.experiments.fig08 import run_fig08
+
+    run_fig08(replications=0, workers=1)
+
+
+def _run_stability_workers():
+    from repro.experiments.stability import run_stability
+
+    run_stability(inputs=("unknown",), workers=1)
+
+
+def _replicate_executor():
+    from repro.experiments.config import ScenarioConfig
+    from repro.experiments.stats import replicate
+
+    replicate(ScenarioConfig(), seeds=(), executor=None)
+
+
+def _sweep_executor_mp_context():
+    from repro.engine.sweep import SweepExecutor
+
+    SweepExecutor(1, mp_context="spawn")
+
+
+def _sweep_executor_run_scenarios():
+    from repro.engine.sweep import SweepExecutor
+
+    SweepExecutor.run_scenarios
+
+
+def _sweep_workers_env():
+    import repro.engine.sweep as sweep
+
+    sweep.WORKERS_ENV
+
+
+def _cli_workers(*argv):
+    def parse():
+        from repro.cli import build_parser
+
+        build_parser().parse_args([*argv, "--workers", "2"])
+
+    return parse
+
+
 def _cluster_package_attr(name):
     def lookup():
         import repro.cluster as cluster
@@ -285,6 +331,14 @@ _REMOVED = [
         (f"cluster.{name}", _cluster_package_attr(name), AttributeError)
         for name in ("ShardPool", "make_shard_pool")
     ],
+    ("run_fig08(workers=)", _run_fig08_workers, TypeError),
+    ("run_stability(workers=)", _run_stability_workers, TypeError),
+    ("replicate(executor=)", _replicate_executor, TypeError),
+    ("SweepExecutor(mp_context=)", _sweep_executor_mp_context, TypeError),
+    ("SweepExecutor.run_scenarios", _sweep_executor_run_scenarios, AttributeError),
+    ("engine.sweep.WORKERS_ENV", _sweep_workers_env, AttributeError),
+    ("repro stability --workers", _cli_workers("stability"), SystemExit),
+    ("repro export --workers", _cli_workers("export", "fig01", "out.json"), SystemExit),
 ]
 
 

@@ -26,7 +26,7 @@ from repro.engine.registry import (
     SCHEDULE_STAGES,
 )
 from repro.engine.session import ScenarioSession
-from repro.engine.sweep import SweepExecutor
+from repro.engine.sweep import run_summaries
 from repro.experiments.config import ScenarioConfig
 from repro.simkernel import Simulation, tick_time
 from repro.util.units import mb_per_s, mb_to_bytes
@@ -298,7 +298,7 @@ class TestRegistriesAndConfig:
             ScenarioConfig(max_inflight=0)
 
     def test_config_with_policies_pickles(self):
-        """The sweep pool ships configs via pickle (spawn context)."""
+        """Configs cross a process pool by pickle, as map items or in summaries."""
         cfg = ScenarioConfig(
             max_steps=2,
             qos_policies=(
@@ -562,6 +562,38 @@ class TestSessionComposition:
             ScenarioConfig(max_steps=2, seed=5),
             ScenarioConfig(max_steps=2, seed=5, qos_policies=QOS_AXIS),
         ]
-        summaries = SweepExecutor(workers=1).run_scenarios(configs)
+        summaries = run_summaries(configs)
         assert len(summaries) == 2
         assert all(s is not None for s in summaries)
+
+
+class TestQosPlaneFigure:
+    def test_stage_counters_do_not_depend_on_earlier_runs(self):
+        from repro.experiments.qosplane import run_qosplane
+        from repro.obs import OBS
+
+        try:
+            first = run_qosplane(max_steps=20).stage_counters
+            second = run_qosplane(max_steps=20).stage_counters
+        finally:
+            OBS.reset()  # the runs trace into the process tracer
+        assert first["qos"]["dataplane.enforce.shaping_delay_s"]["tenant=noise-6"] > 0
+        assert second == first
+
+    def test_outer_metrics_receive_stage_counters(self):
+        from repro.experiments.qosplane import run_qosplane
+        from repro.obs import OBS
+
+        OBS.reset()
+        OBS.enable()
+        try:
+            res = run_qosplane(max_steps=8)
+            series = OBS.registry.get("dataplane.requests").series()
+        finally:
+            OBS.disable()
+            OBS.reset()
+        per_run = sum(
+            sum(res.stage_counters[s]["dataplane.requests"].values())
+            for s in ("baseline", "qos")
+        )
+        assert sum(series.values()) == per_run

@@ -11,10 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.engine import memo
 from repro.engine.registry import (
     APPS,
@@ -25,7 +28,7 @@ from repro.engine.registry import (
     Registry,
     register_estimator,
 )
-from repro.engine.sweep import ScenarioSummary, SweepExecutor, resolve_workers
+from repro.engine.sweep import ScenarioSummary, SweepExecutor, resolve_workers, run_summaries
 from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.multi import TenantSpec, run_multi_scenario
@@ -323,13 +326,19 @@ class TestBehaviourFingerprints:
 
 
 def _sweep_configs() -> list[ScenarioConfig]:
-    # 8 configs: 2 policies x 4 seeds, kept tiny so the spawn pool's
-    # interpreter start-up dominates, not the simulations.
+    # 8 configs: 2 policies x 4 seeds, kept tiny: the map's bookkeeping,
+    # not the simulations, is under test.
     return [
         ScenarioConfig(policy=p, max_steps=2, seed=s)
         for p in ("no-adaptivity", "cross-layer")
         for s in range(4)
     ]
+
+
+def _summary(config: ScenarioConfig) -> ScenarioSummary:
+    """Module-level so the pool can pickle it."""
+    (summary,) = run_summaries([config])
+    return summary
 
 
 class TestSweepExecutor:
@@ -349,37 +358,18 @@ class TestSweepExecutor:
     def test_parallel_matches_serial_exactly(self):
         configs = _sweep_configs()
         assert len(configs) >= 8
-        serial = SweepExecutor(workers=1).run_scenarios(configs)
-        parallel = SweepExecutor(workers=2).run_scenarios(configs)
+        serial = SweepExecutor(workers=1).map(_summary, configs)
+        parallel = SweepExecutor(workers=2).map(_summary, configs)
         assert len(serial) == len(parallel) == len(configs)
         for i, (a, b) in enumerate(zip(serial, parallel)):
             assert isinstance(a, ScenarioSummary)
             assert a == b, f"summary {i} differs between serial and parallel"
             assert a.config == configs[i]
 
-    @pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 2,
-        reason="speedup needs at least two CPUs",
-    )
-    def test_parallel_speedup(self):
-        configs = [
-            ScenarioConfig(max_steps=4, seed=s) for s in range(8)
-        ]
-        t0 = time.perf_counter()
-        SweepExecutor(workers=1).run_scenarios(configs)
-        serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        SweepExecutor(workers="auto").run_scenarios(configs)
-        parallel_s = time.perf_counter() - t0
-        assert parallel_s < serial_s, (
-            f"parallel sweep ({parallel_s:.1f}s) not faster than serial "
-            f"({serial_s:.1f}s)"
-        )
-
     def test_summary_matches_full_result(self):
         cfg = ScenarioConfig(max_steps=3, seed=11)
         full = run_scenario(cfg)
-        (summary,) = SweepExecutor().run_scenarios([cfg], outcome_error=True)
+        (summary,) = run_summaries([cfg], outcome_error=True)
         assert summary.num_records == len(full.records)
         assert summary.mean_io_time == full.mean_io_time
         assert summary.std_io_time == full.std_io_time
@@ -389,87 +379,87 @@ class TestSweepExecutor:
 
     def test_outcome_error_omitted_by_default(self):
         cfg = ScenarioConfig(max_steps=2, seed=0)
-        (summary,) = SweepExecutor().run_scenarios([cfg])
+        (summary,) = run_summaries([cfg])
         assert summary.mean_outcome_error is None
 
 
 def _square(x: int) -> int:
-    """Module-level so the spawn pool can pickle it."""
+    """Module-level so the pool can pickle it."""
     return x * x
 
 
 class TestSweepExecutorWarmPool:
-    def test_pool_spawned_once_across_maps(self):
-        # The warm-pool satellite: two parallel maps over one executor
-        # must reuse the same process pool, not respawn per call.
-        with SweepExecutor(workers=2) as ex:
-            first = ex.map(_square, range(6))
-            second = ex.map(_square, range(6, 12))
-            assert first == [x * x for x in range(6)]
-            assert second == [x * x for x in range(6, 12)]
-            assert ex.pool_creations == 1
-
     def test_serial_map_never_spawns(self):
         ex = SweepExecutor(workers=1)
         assert ex.map(_square, range(4)) == [0, 1, 4, 9]
         assert ex.pool_creations == 0
 
     def test_single_job_skips_pool_even_when_parallel(self):
-        with SweepExecutor(workers=2) as ex:
-            assert ex.map(_square, [3]) == [9]
-            assert ex.pool_creations == 0
+        ex = SweepExecutor(workers=2)
+        assert ex.map(_square, [3]) == [9]
+        assert ex.pool_creations == 0
 
-    def test_close_then_map_respawns(self):
-        with SweepExecutor(workers=2) as ex:
-            ex.map(_square, range(4))
-            ex.close()
-            ex.close()  # idempotent
-            ex.map(_square, range(4))
-            assert ex.pool_creations == 2
+    def test_parallel_map_joins_its_pool(self):
+        import multiprocessing
+
+        ex = SweepExecutor(workers=2)
+        assert ex.map(_square, range(4)) == [0, 1, 4, 9]
+        assert ex.map(_square, range(4, 6)) == [16, 25]
+        assert ex.pool_creations == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepExecutorMetrics:
     def test_chunked_parallel_counters_match_serial(self):
-        # chunksize=3 puts several jobs through one worker call before any
-        # result is pickled; each job's counters must still arrive once.
+        # Every job records into its own registry, serial or in a worker,
+        # and the caller merges them in job order: the whole snapshot,
+        # histogram sums included, is the same at any worker count.
         from repro.obs import OBS
 
         configs = [ScenarioConfig(max_steps=2, seed=s) for s in range(6)]
         snaps = []
         try:
-            for ex in (SweepExecutor(workers=1), SweepExecutor(workers=2, chunksize=3)):
+            for ex in (SweepExecutor(workers=1), SweepExecutor(workers=2)):
                 OBS.reset()
                 OBS.enable()
-                with ex:
-                    ex.run_scenarios(configs)
+                ex.map(_summary, configs)
                 OBS.disable()
                 snaps.append(OBS.registry.snapshot())
         finally:
             OBS.disable()
             OBS.reset()
         serial, parallel = snaps
-        assert serial and sorted(parallel) == sorted(serial)
-        counters = [name for name, m in serial.items() if m["kind"] == "counter"]
-        assert "controller.decisions" in counters
-        for name in counters:
-            assert parallel[name]["series"] == serial[name]["series"], name
+        assert "controller.decisions" in serial
+        assert parallel == serial
 
 
-class TestWorkersEnvOverride:
-    def test_env_caps_explicit_and_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert resolve_workers(8) == 2
-        assert resolve_workers("auto") <= 2
-        assert resolve_workers(1) == 1  # cap never raises the count
+def _repro(*argv: str) -> str:
+    """Stdout of ``python -m repro *argv`` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, check=True, env=env, timeout=600,
+    ).stdout
 
-    def test_env_unset_is_no_cap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(8) == 8
 
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers(4)
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers(4)
+class TestFigureAll:
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2,
+        reason="speedup needs at least two CPUs",
+    )
+    def test_parallel_speedup(self):
+        # Full scale: at --fast the artifacts are too small for two
+        # workers to win reliably.  Each run is a fresh interpreter, so
+        # each starts on an empty ladder memo.
+        t0 = time.perf_counter()
+        serial = _repro("figure", "all")
+        serial_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        parallel = _repro("figure", "all", "--workers", "2")
+        parallel_s = time.perf_counter() - t0
+        assert parallel == serial
+        assert parallel_s < serial_s, (
+            f"parallel regeneration ({parallel_s:.1f}s) not faster than serial "
+            f"({serial_s:.1f}s)"
+        )

@@ -190,26 +190,23 @@ class TestFig16:
         res = run_fig16(node_counts=(1, 2), max_steps=8)
         assert res.scaling_flatness() == pytest.approx(1.0)
 
-    def test_parallel_matches_sequential(self):
-        seq = run_fig16(node_counts=(2,), max_steps=5, workers=1)
-        par = run_fig16(node_counts=(2,), max_steps=5, workers=2)
-        assert seq.rows[0].mean_io_time == pytest.approx(par.rows[0].mean_io_time)
+    def test_each_node_runs_once(self, monkeypatch):
+        """Every row averages the same per-node list, computed once."""
+        import repro.experiments.fig16 as fig16
 
-    def test_workers_bounds_every_pool(self, monkeypatch):
-        """``workers=2`` caps each row's pool at 2, the 4-node row included."""
-        from repro.engine.sweep import SweepExecutor
+        calls = []
 
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        widths = []
-        init = SweepExecutor.__init__
+        def fake_node(args):
+            calls.append(args)
+            node_index, _, _ = args
+            return 1.0 + 0.1 * node_index, 0.5 * node_index
 
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            widths.append(self.workers)
-
-        monkeypatch.setattr(SweepExecutor, "__init__", recording_init)
-        monkeypatch.setattr(
-            SweepExecutor, "map", lambda self, fn, items: [(1.0, 0.0) for _ in items]
-        )
-        run_fig16(node_counts=(1, 2, 4), workers=2)
-        assert widths == [1, 2, 2]
+        monkeypatch.setattr(fig16, "run_node", fake_node)
+        res = run_fig16(node_counts=(1, 2, 4), max_steps=3, seed=7)
+        assert calls == [(i, 7, 3) for i in range(4)]
+        means = [1.0 + 0.1 * i for i in range(4)]
+        stds = [0.5 * i for i in range(4)]
+        assert [r.nodes for r in res.rows] == [1, 2, 4]
+        for row in res.rows:
+            assert row.mean_io_time == float(np.mean(means))
+            assert row.std_io_time == float(np.mean(stds))

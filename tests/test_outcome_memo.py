@@ -4,8 +4,8 @@ A memo entry (``repro.engine.memo.LadderEntry``) keeps the reference-side
 scorer of each app analysis and a ``{(analysis, rung): error}`` table.
 These tests pin that reading through the table is bit-identical to a
 fresh ``app.outcome_error``, that results sharing an entry share the
-work, that the tables die with the entry, and that fig16 only spawns
-worker processes when asked to.
+work, that the tables die with the entry, and that fig16 runs its
+nodes in-process.
 """
 
 import gc
@@ -15,7 +15,6 @@ import pytest
 
 from repro.apps import ALL_APPS, AnalyticsApp, make_app
 from repro.engine import memo
-from repro.engine.sweep import SweepExecutor
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 
@@ -100,15 +99,15 @@ def test_analysis_key_separates_tuning():
     assert make_app("cfd").analysis_key() != make_app("xgc").analysis_key()
 
 
-def test_fig16_cli_serial_by_default_matches_pool(monkeypatch):
+def test_fig16_cli_runs_in_process(monkeypatch):
+    import multiprocessing.pool
+
     from repro.cli import FIGURES
-    from repro.experiments.fig16 import run_fig16
 
-    pooled = run_fig16(workers=4)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("fig16 started a process pool")
 
-    def no_pool(self):
-        raise AssertionError("fig16 spawned a process pool with workers=1")
-
-    monkeypatch.setattr(SweepExecutor, "_ensure_pool", no_pool)
-    serial = FIGURES["fig16"](False, workers=1)
-    assert serial.rows == pooled.rows
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
+    res = FIGURES["fig16"](False, workers=4)
+    assert [r.nodes for r in res.rows] == [1, 2, 4]
+    assert res.scaling_flatness() == 1.0

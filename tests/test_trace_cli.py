@@ -222,24 +222,51 @@ class TestCliObservability:
         assert main(["figure", "fig05", "--fast", "--trace-out", str(trace)]) == 0
         assert trace.exists()
 
-    def test_parallel_sweep_metrics_match_serial(self, capsys, tmp_path, monkeypatch):
-        """Sweep workers ship their registries back: a 2-worker fig10
-        reports the same instruments and counter totals as a serial one."""
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        snaps = {}
+    def test_parallel_sweep_metrics_match_serial(self, capsys, tmp_path):
+        """Artifact workers ship their registries back: ``figure all`` on
+        2 workers prints the same tables and writes the same metrics
+        snapshot as a serial run."""
+        snaps, tables = {}, {}
         for workers in ("1", "2"):
             path = tmp_path / f"metrics{workers}.json"
             assert main([
-                "figure", "fig10", "--fast", "--workers", workers,
+                "figure", "all", "--fast", "--workers", workers,
                 "--metrics-out", str(path),
             ]) == 0
+            tables[workers] = capsys.readouterr().out
             snaps[workers] = json.loads(path.read_text())
         serial, parallel = snaps["1"], snaps["2"]
-        assert serial and sorted(parallel) == sorted(serial)
+        assert tables["2"] == tables["1"]
         counters = [name for name, m in serial.items() if m["kind"] == "counter"]
-        assert counters
-        for name in counters:
-            assert parallel[name]["series"] == serial[name]["series"], name
+        assert "controller.decisions" in counters
+        assert parallel == serial
+
+    def test_figure_all_concatenates_artifacts(self, capsys, tmp_path, monkeypatch):
+        """``figure all`` prints every artifact's table in FIGURES order,
+        byte for byte as the per-artifact commands do; ``--out`` gets
+        the same text."""
+
+        class Table:
+            def __init__(self, text):
+                self.text = text
+
+            def format_rows(self):
+                return self.text
+
+        def artifact(name):
+            return lambda fast, workers=1: Table(f"{name} fast={fast}\nrow")
+
+        monkeypatch.setattr(
+            "repro.cli.FIGURES", {name: artifact(name) for name in ("b", "a", "c")}
+        )
+        one_by_one = ""
+        for name in ("b", "a", "c"):
+            assert main(["figure", name, "--fast"]) == 0
+            one_by_one += capsys.readouterr().out
+        out = tmp_path / "all.txt"
+        assert main(["figure", "all", "--fast", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == one_by_one
+        assert out.read_text() == one_by_one
 
     def test_plain_run_stays_disabled(self, capsys):
         from repro.obs import OBS
